@@ -17,8 +17,9 @@ Three families of identities are implemented:
 
 * Dirichlet characters mod a prime q: the character-averaged 2k-th
   moment equals an exact congruence count by orthogonality; both sides
-  are computed independently (FFT over the index transform vs a residue
-  convolution) and compared.
+  are computed independently (an integer cyclic convolution of the index
+  histogram vs a residue convolution) and compared, and a floating FFT
+  over the index transform is kept as a third, inexact check.
 """
 
 from __future__ import annotations
@@ -49,6 +50,17 @@ _MAP_ENTRY_GUARD = 2**33
 # below this x the k=2 energy goes through the generic map; above it the
 # totient identity is used (exact either way, the identity is just O(x))
 _TOTIENT_CUTOFF = 4000
+# the totient path holds about five int64 arrays of length x; its traced
+# peak is 40.6 MB at x = 10^6, sieve included.  1 GiB admits x up to ~2.7e7
+_TOTIENT_BYTES_PER_X = 40
+_TOTIENT_MEMORY_GUARD = 2**30
+# the weighted k=1 energy is a Python fsum over x terms, ~0.15 s per 10^6
+# terms on a 2-vCPU KVM guest with Python 3.11
+_FSUM_TERM_GUARD = 10**7
+# the exact character average raises a Kronecker-packed integer to the
+# k-th power; 2^23 result bits take ~1.3 s (same host), and the cost grows
+# like bits^1.58 under CPython's Karatsuba multiplication
+_KRONECKER_BIT_GUARD = 2**23
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +160,12 @@ def _totient_table(x: int) -> np.ndarray:
 def _energy_k2_sigma0(x: int) -> int:
     # Pairs ab = cd <= x^2 parametrized by g = gcd(a, c): the count is
     # sum_{m<=x} (2*phi(m) - [m=1]) * floor(x/m)^2, evaluated exactly.
+    need = _TOTIENT_BYTES_PER_X * x
+    if need > _TOTIENT_MEMORY_GUARD:
+        raise ResourceLimitError(
+            f"k=2 totient path at x = {x} needs ~{need >> 20} MiB of int64 tables, past the "
+            f"{_TOTIENT_MEMORY_GUARD >> 20} MiB guard on memory"
+        )
     phi = _totient_table(x)
     m = np.arange(1, x + 1, dtype=np.int64)
     weights = 2 * phi[1:]
@@ -189,6 +207,11 @@ def steinhaus_energy(k: int, x: float, sigma: float = 0.0) -> EnergyResult:
         # the equation surface is the diagonal m1 = m2
         if sigma == 0.0:
             return EnergyResult(k, xf, sigma, xf, space)
+        if xf > _FSUM_TERM_GUARD:
+            raise ResourceLimitError(
+                f"weighted k=1 energy at x = {xf} sums {xf} terms, past the "
+                f"{_FSUM_TERM_GUARD}-term guard on run time"
+            )
         val = math.fsum(n ** (-2.0 * sigma) for n in range(1, xf + 1))
         return EnergyResult(k, xf, sigma, val, space)
 
@@ -317,11 +340,10 @@ def rademacher_moment_tuple_count(k: int, x: int) -> int:
 class CharAverageResult:
     """Character-averaged 2k-th moment together with its exact counterpart.
 
-    ``avg_all`` is the average over all phi(q) characters, stated as the
-    exact rational it provably is; ``float_error`` records how far the
-    floating FFT evaluation landed from that rational (the honesty check
-    lives in the test suite, which compares the float against the
-    independent ``congruence_count``).
+    ``avg_all`` is the average over all phi(q) characters, computed in
+    integers; ``float_error`` records how far the floating FFT evaluation
+    ``avg_all_float`` landed from it.  ``congruence_count`` is the
+    independent residue-side count (-1 when q > 10^4).
     """
 
     k: int
@@ -414,12 +436,38 @@ def congruence_count(k: int, q: int, x: int) -> int:
     return int(sum(int(c) * int(c) for c in level[1:]))
 
 
+def _cyclic_power_square_sum(h: list[int], k: int) -> int:
+    """sum_t (h^{*k}(t))^2 for the k-fold cyclic convolution of h.
+
+    Kronecker substitution: h is packed into one integer with a slot wide
+    enough for any coefficient of the linear k-fold product (each is at
+    most sum(h)^k), raised to the k-th power, unpacked and folded mod
+    len(h).
+    """
+    if k == 1:
+        return sum(c * c for c in h)
+    n = len(h)
+    width = (sum(h) ** k).bit_length() // 8 + 1
+    bits = 8 * width * (k * (n - 1) + 1)
+    if bits > _KRONECKER_BIT_GUARD:
+        raise ResourceLimitError(
+            f"exact character average: the k = {k} power of the packed histogram has "
+            f"{bits} bits, past the {_KRONECKER_BIT_GUARD}-bit guard on run time"
+        )
+    packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in h), "little")
+    raw = (packed**k).to_bytes(bits // 8, "little")
+    coeffs = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    return sum(sum(coeffs[t::n]) ** 2 for t in range(n))
+
+
 def char_moment_average(k: int, q: int, x: int) -> CharAverageResult:
     """Average of |sum_{n<=x} chi(n)|^(2k) over all characters mod prime q.
 
-    All phi(q) character sums come from one FFT of the index histogram;
-    the average is rounded to the exact rational with denominator q-1
-    that orthogonality guarantees, and the rounding residue is reported.
+    By orthogonality the average is sum_t (h^{*k}(t))^2, with h the index
+    histogram and h^{*k} its k-fold cyclic convolution mod q-1, which is
+    computed exactly in integers.  All phi(q) character sums also come
+    from one floating FFT of h; that average and its distance from the
+    exact one are reported as a check.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -433,11 +481,9 @@ def char_moment_average(k: int, q: int, x: int) -> CharAverageResult:
     # chi_j(g^t) = exp(2 pi i j t / (q-1)); sums for all j at once
     sums = np.fft.fft(h.astype(np.float64))
     powers = np.abs(sums) ** (2 * k)
-    total_float = float(np.sum(powers))
     phi = q - 1
-    # orthogonality forces the average to be an integer, so round there,
-    # not at the (phi times larger) total
-    avg_int = round(total_float / phi)
+    avg_float = float(np.sum(powers)) / phi
+    avg_int = _cyclic_power_square_sum(h.tolist(), k)
     avg_all = Fraction(avg_int)
     principal = int(h.sum())  # chi_0 sum is just the coprime count
     if phi > 1:
@@ -452,6 +498,6 @@ def char_moment_average(k: int, q: int, x: int) -> CharAverageResult:
         avg_all=avg_all,
         avg_nonprincipal=avg_nonprincipal,
         congruence_count=cc,
-        avg_all_float=total_float / phi,
-        float_error=abs(total_float / phi - avg_int),
+        avg_all_float=avg_float,
+        float_error=float(abs(Fraction(avg_float) - avg_int)),
     )

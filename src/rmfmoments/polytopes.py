@@ -15,8 +15,11 @@ edge weights:
                       degree 2t to stay on the integer lattice).
 
 Volumes are normalized as leading coefficients of Ehrhart polynomials,
-interpolated exactly over rationals from dilation counts produced by
-memoized dynamic programming, then validated at out-of-sample dilations.
+interpolated exactly over rationals from dilation counts, then validated
+at out-of-sample dilations.  The margin families are counted by memoized
+recursion over row compositions; ``gamma_sym`` by one int64 table of
+degree-vector counts on K_{2k-1}, built by adding vertices one at a time,
+from which every dilation's count is a slice sum.
 Floating interpolation is hopeless at degree 9 and up; everything here
 is integer and Fraction arithmetic.
 """
@@ -171,26 +174,67 @@ def _count_rows_atmost(nrows: int, rowcap: int, caps: tuple[int, ...]) -> int:
     return total
 
 
-@cache
-def _count_graph_degrees(res: tuple[int, ...]) -> int:
-    """Edge-weightings of a complete graph with the given residual degrees.
+# The degree table for gamma_sym holds one int64 per degree vector of
+# K_{2k-1} in [0, D]^(2k-1); 2^24 entries (128 MiB) admit the k = 3 Ehrhart
+# range, D = 24 (25^5 entries, 75 MiB), and one dilation beyond it.
+_DEGREE_TABLE_ENTRY_GUARD = 2**24
 
-    Eliminates the vertex with the largest residual: enumerate its edge
-    values toward the others, reduce, recurse on the sorted remainder.
+
+def _degree_table(m: int, D: int) -> np.ndarray:
+    """G[r] = edge weightings of K_m with degree vector r, for r in [0, D]^m.
+
+    Vertices join one at a time.  The new vertex's degree n is spread over
+    the old vertices, G'(r, n) = sum over s <= r with sum(r - s) = n of
+    G(s), which is one diagonal prefix sum per old axis.  Degrees only
+    grow as edges are added, so cutting every axis at D loses nothing
+    below D.
     """
-    if len(res) == 1:
-        return 1 if res[0] == 0 else 0
-    if sum(res) % 2:
-        return 0
-    res = tuple(sorted(res, reverse=True))
-    head, rest = res[0], res[1:]
-    if head > sum(rest):
-        return 0
-    total = 0
-    for comp in _compositions(head, rest):
-        reduced = tuple(sorted((r - v for r, v in zip(rest, comp)), reverse=True))
-        total += _count_graph_degrees(reduced)
-    return total
+    table = np.zeros(D + 1, dtype=np.int64)
+    table[0] = 1
+    for j in range(1, m):
+        grown = np.zeros(table.shape + (D + 1,), dtype=np.int64)
+        grown[..., 0] = table
+        for axis in range(j):
+            view = np.moveaxis(grown, axis, 0)
+            for r in range(1, D + 1):
+                view[r, ..., 1:] += view[r - 1, ..., :-1]
+        table = grown
+    return table
+
+
+@cache
+def _gamma_counts(k: int, T: int) -> tuple[int, ...]:
+    """Lattice points of the t-th gamma_sym(k) dilation for t = 0..T.
+
+    The last vertex of K_{2k} is eliminated in closed form: its 2k-1
+    edges take 2t - s_a from a weighting of K_{2k-1} with degrees s, so
+    the count is the sum of G(s) over s in [0, 2t]^(2k-1) with
+    sum(s) = 2t(2k-2).
+    """
+    m, D = 2 * k - 1, 2 * T
+    entries = (D + 1) ** m
+    if entries > _DEGREE_TABLE_ENTRY_GUARD:
+        raise ResourceLimitError(
+            f"gamma_sym({k}) dilation {T} needs a degree table of {entries} entries, past "
+            f"the {_DEGREE_TABLE_ENTRY_GUARD}-entry guard on memory (8 bytes per entry)"
+        )
+    # an entry counts weightings of at most C(m, 2) edges, each in [0, D]
+    bound = (D + 1) ** math.comb(m, 2)
+    if bound >= 2**63:
+        raise ResourceLimitError(
+            f"gamma_sym({k}) dilation {T}: entries of the degree table may reach "
+            f"{bound}, past the 2^63 int64 range"
+        )
+    table = _degree_table(m, D)
+    # level[s] = sum(s), small enough for int16 (at most m * D)
+    level = np.zeros((), dtype=np.int16)
+    for _ in range(m):
+        level = np.add.outer(level, np.arange(D + 1, dtype=np.int16))
+    counts = []
+    for t in range(T + 1):
+        box = (slice(0, 2 * t + 1),) * m
+        counts.append(sum(table[box][level[box] == 2 * t * (m - 1)].tolist()))
+    return tuple(counts)
 
 
 def lattice_count(spec: PolytopeSpec, t: int) -> int:
@@ -204,8 +248,9 @@ def lattice_count(spec: PolytopeSpec, t: int) -> int:
         return _count_rows_capped(k - 1, t, (t,) * k)
     if spec.family == "alpha_box":
         return _count_rows_atmost(k, t, (t,) * k)
-    # gamma_sym: degrees 2t on K_{2k}
-    return _count_graph_degrees((2 * t,) * (2 * k))
+    # gamma_sym: degrees 2t on K_{2k}; one table serves the whole
+    # Ehrhart range, dilations past it get a table of their own
+    return _gamma_counts(k, max(t, spec.dimension + 3))[t]
 
 
 # ---------------------------------------------------------------------------

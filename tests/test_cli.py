@@ -132,6 +132,10 @@ def test_resource_refusal_exit_3(capsys):
     capsys.readouterr()
     assert main(["simulate", "--x", "100000000", "--trials", "200"]) == 3
     capsys.readouterr()
+    assert main(["count", "--model", "steinhaus", "--k", "2", "--x", "1e8"]) == 3
+    capsys.readouterr()
+    assert main(["count", "--model", "steinhaus", "--k", "1", "--x", "1e9", "--sigma", "0.25"]) == 3
+    capsys.readouterr()
 
 
 def test_verify_subset(capsys):

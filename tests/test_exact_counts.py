@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmfmoments.errors import ResourceLimitError
 from rmfmoments.exact_counts import (
     char_moment_average,
     congruence_count,
@@ -97,6 +99,24 @@ def test_energy_floor_semantics():
     assert steinhaus_energy(2, 7.9).value == steinhaus_energy(2, 7).value
 
 
+@pytest.mark.parametrize(
+    "k, x, sigma",
+    [
+        (2, 10**8, 0.0),  # totient path: ~4 GB of int64 tables
+        (1, 10**9, 0.25),  # weighted k = 1 path: a 10^9-term Python fsum
+    ],
+)
+def test_energy_guards_refuse_before_allocating(k, x, sigma):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="guard on (memory|run time)"):
+            steinhaus_energy(k, x, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_energy_rejects_bad_input():
     with pytest.raises(ValueError):
         steinhaus_energy(0, 10)
@@ -155,6 +175,27 @@ def test_char_average_equals_congruence_count(q, k):
     res = char_moment_average(k, q, x)
     assert res.avg_all == Fraction(congruence_count(k, q, x))
     assert res.float_error < 1e-6
+
+
+@pytest.mark.parametrize(
+    "k, q, x, expected",
+    [
+        # past 2^53 the float FFT total rounds to ...984 here
+        (3, 2003, 2000, 31968031968031988),
+        # here the float FFT average is 48600 away from the count
+        (4, 1009, 1000, 992063492063492226520),
+    ],
+)
+def test_char_average_exact_past_float_precision(k, q, x, expected):
+    res = char_moment_average(k, q, x)
+    assert res.avg_all == expected == res.congruence_count
+    assert res.float_error == abs(Fraction(res.avg_all_float) - expected)
+
+
+def test_char_average_power_guard():
+    # the k = 3 power of the packed histogram for q ~ 10^5 has ~1.8e7 bits
+    with pytest.raises(ResourceLimitError, match="guard on run time"):
+        char_moment_average(3, 104729, 104729)
 
 
 def test_char_average_frozen():

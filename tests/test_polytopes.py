@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmfmoments import polytopes
+from rmfmoments.errors import ResourceLimitError
 from rmfmoments.polytopes import (
     alpha_box,
     alpha_constant,
@@ -86,10 +88,32 @@ def test_gamma_k2():
 
 def test_k4_edge_counts_quadratic():
     # degree-constrained nonnegative edge weights on K_4 with every vertex
-    # at degree 2t: the count is (2t+1)(t+1)
+    # at degree 2t: the count is (2t+1)(t+1).  t <= 5 is the Ehrhart range
+    # (dimension + 3), read from one shared table; each t past it builds
+    # a table of its own
     spec = gamma_sym(2)
-    for t in range(6):
+    for t in range(13):
         assert lattice_count(spec, t) == (2 * t + 1) * (t + 1)
+
+
+def test_gamma_k3_dilation_counts_pinned():
+    # t = 0..12, the Ehrhart range; the same counts come from direct
+    # recursion over the edge compositions of the largest residual degree
+    spec = gamma_sym(3)
+    assert [lattice_count(spec, t) for t in range(13)] == [
+        1, 130, 3355, 36935, 245870, 1177295, 4469610, 14284170, 39970575,
+        100639000, 232524589, 500269705, 1013519780,
+    ]
+
+
+def test_gamma_far_dilation_refused_before_allocating(monkeypatch):
+    # t = 40 needs 81^5 table entries: refused on memory
+    with pytest.raises(ResourceLimitError, match="guard on memory"):
+        lattice_count(gamma_sym(3), 40)
+    # with the memory guard lifted, the int64 value bound refuses instead
+    monkeypatch.setattr(polytopes, "_DEGREE_TABLE_ENTRY_GUARD", 10**12)
+    with pytest.raises(ResourceLimitError, match="int64 range"):
+        lattice_count(gamma_sym(3), 40)
 
 
 def test_lattice_count_monotone_in_t():
@@ -134,7 +158,6 @@ def test_mc_volume_deterministic():
     assert a.mean == b.mean and a.stderr == b.stderr
 
 
-@pytest.mark.slow
 def test_gamma_k3_consistent_across_dilations():
     spec = gamma_sym(3)
     poly = ehrhart_polynomial(spec)
