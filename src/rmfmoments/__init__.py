@@ -30,7 +30,6 @@ from .arith import (
     factorize,
     factorize_small,
     primes_up_to,
-    real_gamma,
 )
 from .errors import ResourceLimitError
 from .estimates import DEFAULT_SEED, MomentEstimate

@@ -33,7 +33,7 @@ from .analytic import (
     steinhaus_asymptotic_rhs,
 )
 from .arith import a_constant, b_constant
-from .estimates import DEFAULT_SEED
+from .estimates import DEFAULT_SEED, trial_rng
 from .exact_counts import (
     char_moment_average,
     congruence_count,
@@ -270,8 +270,7 @@ def criterion_09(seed: int) -> CriterionResult:
     n_samples = 10_000
     c1 = np.empty(n_samples, dtype=np.complex128)
     for i in range(n_samples):
-        rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, i]))
-        c1[i] = haar_unitary_secular(8, rng).coefficients[1]
+        c1[i] = haar_unitary_secular(8, trial_rng(seed, i)).coefficients[1]
     m2 = np.abs(c1) ** 2
     m4 = np.abs(c1) ** 4
     se2 = m2.std(ddof=1) / math.sqrt(n_samples)

@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .arith import Factorization, a_constant, b_constant, char_local_factor, real_gamma
+from .arith import Factorization, a_constant, b_constant, char_local_factor
 from .polytopes import alpha_constant, beta_constant, gamma_constant
 
 __all__ = [
@@ -70,8 +68,8 @@ def steinhaus_asymptotic_rhs(k: int, sigma: float, x: float) -> AsymptoticTerm:
     const = (
         a
         * float(beta_constant(k))
-        * real_gamma(2 * k - 1)
-        / (real_gamma(k) ** 2 * s ** (2 * k - 1))
+        * math.gamma(2 * k - 1)
+        / (math.gamma(k) ** 2 * s ** (2 * k - 1))
     )
     return AsymptoticTerm(constant=const, x_exponent=k * s, log_exponent=float((k - 1) ** 2))
 
@@ -215,70 +213,20 @@ def _bound_objective(u: float, v: float) -> float:
     return num / den
 
 
-def _nelder_mead_2d(f, start: tuple[float, float], scale: float) -> tuple[float, float, float]:
-    pts = [
-        np.array(start),
-        np.array([start[0] + scale, start[1]]),
-        np.array([start[0], start[1] + scale]),
-    ]
-    vals = [f(*p) for p in pts]
-    for _ in range(400):
-        order = sorted(range(3), key=lambda i: vals[i])
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        if abs(vals[2] - vals[0]) < 1e-15 * (1.0 + abs(vals[0])):
-            break
-        centroid = (pts[0] + pts[1]) / 2.0
-        refl = centroid + (centroid - pts[2])
-        fr = f(*refl)
-        if fr < vals[0]:
-            exp = centroid + 2.0 * (centroid - pts[2])
-            fe = f(*exp)
-            if fe < fr:
-                pts[2], vals[2] = exp, fe
-            else:
-                pts[2], vals[2] = refl, fr
-        elif fr < vals[1]:
-            pts[2], vals[2] = refl, fr
-        else:
-            contr = centroid + 0.5 * (pts[2] - centroid)
-            fc = f(*contr)
-            if fc < vals[2]:
-                pts[2], vals[2] = contr, fc
-            else:
-                pts[1] = pts[0] + 0.5 * (pts[1] - pts[0])
-                pts[2] = pts[0] + 0.5 * (pts[2] - pts[0])
-                vals[1] = f(*pts[1])
-                vals[2] = f(*pts[2])
-    best = min(range(3), key=lambda i: vals[i])
-    return float(pts[best][0]), float(pts[best][1]), float(vals[best])
-
-
 def cs_bound_minimize() -> BoundResult:
     """Minimize the two-parameter quotient and return the amplitude bound.
 
-    Deterministic: a 10^-3 grid sweep of (0,1)^2 picks the basin, a
-    fixed-shape Nelder-Mead polishes it, and the result is validated to
-    be a local minimum against 1e-4 perturbations.
+    The quotient factors as g(u) h(v) with g(u) = (1 - u + u^2) / (1 - u^2)
+    and h(v) = (1 - 2v/3 + v^2) / (1 - v^2).  g' vanishes where
+    u^2 - 4u + 1 = 0 and h' where v^2 - 6v + 1 = 0, so the minimum on
+    (0,1)^2 sits at u* = 2 - sqrt 3, v* = 3 - 2 sqrt 2.  The result is
+    still checked to be a local minimum against 1e-4 perturbations.
     """
-
-    def safe(u: float, v: float) -> float:
-        if not (0.0 < u < 1.0 and 0.0 < v < 1.0):
-            return math.inf
-        return _bound_objective(u, v)
-
-    best = (math.inf, 0.0, 0.0)
-    n = 1000
-    for iu in range(1, n):
-        u = iu / n
-        for iv in range(1, n):
-            val = safe(u, iv / n)
-            if val < best[0]:
-                best = (val, u, iv / n)
-    u0, v0 = best[1], best[2]
-    u_star, v_star, f_min = _nelder_mead_2d(safe, (u0, v0), 1e-3)
+    u_star = 2.0 - math.sqrt(3.0)
+    v_star = 3.0 - 2.0 * math.sqrt(2.0)
+    f_min = _bound_objective(u_star, v_star)
     for du, dv in ((1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4), (0.0, -1e-4)):
-        if safe(u_star + du, v_star + dv) < f_min - 1e-15:
+        if _bound_objective(u_star + du, v_star + dv) < f_min - 1e-15:
             raise RuntimeError("amplitude bound minimizer failed local optimality")
     return BoundResult(
         u_star=u_star,

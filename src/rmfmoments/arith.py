@@ -40,7 +40,6 @@ __all__ = [
     "a_constant",
     "b_constant",
     "char_local_factor",
-    "real_gamma",
 ]
 
 Factorization = list[tuple[int, int]]
@@ -441,37 +440,3 @@ def char_local_factor(k: int, q_factorization: Factorization) -> float:
                 raise RuntimeError("local sum failed to converge")
         out /= s
     return out
-
-
-# ---------------------------------------------------------------------------
-# Gamma
-
-# Classic Lanczos coefficients (g = 7, n = 9); relative error below 1e-13
-# on the positive real axis, comfortably inside the 1e-12 contract.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def real_gamma(x: float) -> float:
-    """Gamma(x) for real x > 0 via a fixed Lanczos approximation."""
-    if x <= 0:
-        raise ValueError("real_gamma requires x > 0")
-    if x < 0.5:
-        # reflection; 1 - x > 0.5 lands in the direct branch
-        return math.pi / (math.sin(math.pi * x) * real_gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc

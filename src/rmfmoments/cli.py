@@ -453,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=None)
     p.set_defaults(func=_cmd_conjecture)
 
-    p = sub.add_parser("bound", help="two-parameter amplitude bound optimizer", parents=[common])
+    p = sub.add_parser("bound", help="two-parameter amplitude bound (closed form)", parents=[common])
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("verify", help="run the acceptance suite", parents=[common])

@@ -1,8 +1,11 @@
-"""Common result container for Monte Carlo estimators."""
+"""Common result container, keyed streams and thread count for Monte Carlo estimators."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+
+import numpy as np
 
 # default seed for every stochastic entry point; fixed, never time-based
 DEFAULT_SEED = 60493
@@ -26,3 +29,15 @@ class MomentEstimate:
             raise ValueError("stderr must be nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+
+
+def trial_rng(seed: int, t: int) -> np.random.Generator:
+    """The counter-based stream of trial t, keyed by (seed, t)."""
+    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, t]))
+
+
+def resolve_threads(threads: int) -> int:
+    """Worker thread count; 0 picks min(4, CPU count)."""
+    if threads < 0:
+        raise ValueError("threads must be >= 0")
+    return threads or min(4, os.cpu_count() or 1)

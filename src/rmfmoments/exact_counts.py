@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import primes_up_to
+from .arith import factorize_small, primes_up_to
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -356,20 +356,9 @@ class CharAverageResult:
     float_error: float
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
 def _primitive_root(q: int) -> int:
     phi = q - 1
-    fac = [p for p, _ in _trial_factor(phi)]
+    fac = [p for p, _ in factorize_small(phi)]
     g = 2
     while True:
         if all(pow(g, phi // p, q) != 1 for p in fac):
@@ -379,40 +368,27 @@ def _primitive_root(q: int) -> int:
             raise RuntimeError(f"no primitive root found for q={q}")
 
 
-def _trial_factor(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+def _index_histogram(q: int, x: int) -> list[int]:
+    """h[t] = #{n <= x : n = g^t mod q} for a fixed primitive root g.
 
-
-def _index_histogram(q: int, x: int) -> np.ndarray:
-    """h[t] = #{n <= x : n coprime to q, ind_g(n) = t} for a fixed root g."""
+    #{n <= x : n = r mod q} is floor(x/q) + [1 <= r <= x mod q], so the
+    histogram costs O(q) whatever x is.
+    """
     g = _primitive_root(q)
-    ind = np.zeros(q, dtype=np.int64)
-    acc = 1
-    for t in range(q - 1):
-        ind[acc] = t
-        acc = acc * g % q
-    r = np.arange(1, x + 1, dtype=np.int64) % q
-    r = r[r != 0]
-    return np.bincount(ind[r], minlength=q - 1)
+    full, rest = divmod(x, q)
+    h = []
+    r = 1
+    for _ in range(q - 1):
+        h.append(full + (r <= rest))
+        r = r * g % q
+    return h
 
 
 def congruence_count(k: int, q: int, x: int) -> int:
     """#{(m_1..m_2k): m_i <= x, gcd(m_i, q)=1, prod first k = prod last k mod q}."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if not _is_prime(q):
+    if q < 2 or factorize_small(q) != [(q, 1)]:
         raise ValueError("q must be prime (composite moduli are out of scope)")
     if q > 10_000:
         raise ResourceLimitError("congruence-count guard: q must be <= 10^4")
@@ -420,11 +396,8 @@ def congruence_count(k: int, q: int, x: int) -> int:
         raise ValueError("x must be at least 1")
     if x**k > 4 * 10**18:
         raise ResourceLimitError("congruence-count guard: x^k too large for exact counts")
-    counts = np.zeros(q, dtype=object)
-    n = np.arange(1, x + 1)
-    r = n % q
-    for residue, c in zip(*np.unique(r[r != 0], return_counts=True)):
-        counts[int(residue)] = int(c)
+    full, rest = divmod(x, q)
+    counts = np.array([0] + [full + (r <= rest) for r in range(1, q)], dtype=object)
     level = counts
     for _ in range(k - 1):
         nxt = np.zeros(q, dtype=object)
@@ -471,7 +444,7 @@ def char_moment_average(k: int, q: int, x: int) -> CharAverageResult:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if not _is_prime(q):
+    if q < 2 or factorize_small(q) != [(q, 1)]:
         raise ValueError("q must be prime (composite moduli are out of scope)")
     if q > 10**6:
         raise ResourceLimitError("character guard: q must be <= 10^6")
@@ -479,13 +452,13 @@ def char_moment_average(k: int, q: int, x: int) -> CharAverageResult:
         raise ValueError("x must be at least 1")
     h = _index_histogram(q, x)
     # chi_j(g^t) = exp(2 pi i j t / (q-1)); sums for all j at once
-    sums = np.fft.fft(h.astype(np.float64))
+    sums = np.fft.fft(np.array(h, dtype=np.float64))
     powers = np.abs(sums) ** (2 * k)
     phi = q - 1
     avg_float = float(np.sum(powers)) / phi
-    avg_int = _cyclic_power_square_sum(h.tolist(), k)
+    avg_int = _cyclic_power_square_sum(h, k)
     avg_all = Fraction(avg_int)
-    principal = int(h.sum())  # chi_0 sum is just the coprime count
+    principal = sum(h)  # chi_0 sum is just the coprime count
     if phi > 1:
         avg_nonprincipal = Fraction(avg_int * phi - principal ** (2 * k), phi - 1)
     else:

@@ -34,7 +34,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ResourceLimitError
-from .estimates import MomentEstimate
+from .estimates import MomentEstimate, trial_rng
 
 __all__ = [
     "PolytopeSpec",
@@ -402,7 +402,7 @@ def mc_volume(spec: PolytopeSpec, samples: int, seed: int) -> MomentEstimate:
         raise ValueError("samples must be at least 1000")
     if spec.family not in ("beta_mixed", "alpha_box"):
         raise ValueError("mc_volume supports beta_mixed and alpha_box only")
-    rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0]))
+    rng = trial_rng(seed, 0)
     k = spec.k
     if spec.family == "beta_mixed":
         if k == 1:

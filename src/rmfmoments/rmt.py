@@ -5,10 +5,13 @@ unitary has an exact lattice expression: a sum of w^(total entry sum)
 over k x k nonnegative integer matrices whose row and column sums are
 all at most L, with w = |z|^2.  The orthogonal analogue replaces the
 matrix by edge weights on the complete graph K_{2k} with all vertex
-degrees at most L and weight z^(2 total).  Both are evaluated by grid
-dynamic programming over residual margins; within documented budgets the
-DP carries exact integer coefficients of the powers of w and only the
-final polynomial evaluation happens in floats.
+degrees at most L and weight z^(2 total).  A k x k matrix is an edge
+weighting of the bipartite graph K_{k,k}, so both are sums over edge
+weightings with every vertex degree at most L, and one dynamic program
+over residual vertex capacities, taken edge by edge, evaluates both.
+Within documented budgets it carries exact integer coefficients of the
+powers of w and only the final polynomial evaluation happens in floats;
+past them it carries w itself.
 
 Monte Carlo counterparts sample Haar unitaries via QR of a complex
 Gaussian matrix with the diagonal-phase correction (the uncorrected QR
@@ -26,9 +29,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .arith import real_gamma
 from .errors import ResourceLimitError
-from .estimates import MomentEstimate
+from .estimates import MomentEstimate, resolve_threads, trial_rng
 from .polytopes import beta_constant, count_margin_matrices, gamma_constant
 
 __all__ = [
@@ -86,6 +88,57 @@ def _check_query(group: str, k: int, L: int, z_abs: float) -> TruncatedMomentQue
 # exact lattice DPs
 
 
+def _capped_degree_dp(
+    n: int, edges: list[tuple[int, int]], L: int, w: float | None = None
+) -> tuple[int, ...] | float:
+    """Sum of w^(total weight) over edge weightings with every vertex degree <= L.
+
+    The state has one residual-capacity axis per open vertex: it opens at
+    the vertex's first edge with capacity L and is summed out after its
+    last edge.  Weight c on edge (i, j) moves mass from (r_i, r_j) to
+    (r_i - c, r_j - c), so one edge step is the in-place diagonal prefix
+    sum A[r_i, r_j] += w A[r_i + 1, r_j + 1], taken downward in r_i.  With
+    w None a leading axis holds the exact coefficient of each power of w,
+    each step also shifts it by one, and the coefficients come back as a
+    tuple; otherwise the float total comes back.
+    """
+    last = {v: e for e, edge in enumerate(edges) for v in edge}
+    lead = int(w is None)  # 1 when axis 0 holds the exact coefficients
+    A = np.zeros(n * L // 2 + 1, dtype=np.int64) if lead else np.ones(())
+    A[(0,) * lead] = 1
+    open_axes: list[int] = []
+    for e, edge in enumerate(edges):
+        for v in edge:
+            if v not in open_axes:
+                A = np.pad(A[..., None], [(0, 0)] * A.ndim + [(L, 0)])
+                open_axes.append(v)
+        ai, aj = (lead + open_axes.index(v) for v in edge)
+        for r in range(L - 1, -1, -1):
+            dst = [slice(None)] * A.ndim
+            src = [slice(None)] * A.ndim
+            dst[ai], src[ai] = r, r + 1
+            dst[aj], src[aj] = slice(0, L), slice(1, L + 1)
+            if lead:
+                dst[0], src[0] = slice(1, None), slice(0, -1)
+                A[tuple(dst)] += A[tuple(src)]
+            else:
+                A[tuple(dst)] += w * A[tuple(src)]
+        for v in edge:
+            if last[v] == e:
+                A = A.sum(axis=lead + open_axes.index(v))
+                open_axes.remove(v)
+    return tuple(int(c) for c in A) if lead else float(A)
+
+
+def _unitary_edges(k: int) -> list[tuple[int, int]]:
+    # K_{k,k} column by column, so only one column axis is open at a time
+    return [(row, k + col) for col in range(k) for row in range(k)]
+
+
+def _so_edges(k: int) -> list[tuple[int, int]]:
+    return list(combinations(range(2 * k), 2))
+
+
 @cache
 def unitary_truncated_coefficients(k: int, L: int) -> tuple[int, ...]:
     """coeffs[s] = # of k x k nonnegative integer matrices with every row
@@ -95,55 +148,7 @@ def unitary_truncated_coefficients(k: int, L: int) -> tuple[int, ...]:
         raise ResourceLimitError(
             f"exact coefficient guard: k={k} allows L <= {_UNITARY_EXACT_CAP[k]}"
         )
-    smax = k * L
-    shape = (L + 1,) * k + (smax + 1,)
-    A = np.zeros(shape, dtype=np.int64)
-    A[(L,) * k + (0,)] = 1
-    for _col in range(k):
-        D = np.zeros(shape + (L + 1,), dtype=np.int64)
-        D[..., 0] = A
-        for row in range(k):
-            B = D.copy()
-            for c in range(1, L + 1):
-                src = [slice(None)] * (k + 2)
-                dst = [slice(None)] * (k + 2)
-                src[row] = slice(c, L + 1)
-                dst[row] = slice(0, L + 1 - c)
-                src[k + 1] = slice(0, L + 1 - c)
-                dst[k + 1] = slice(c, L + 1)
-                B[tuple(dst)] += D[tuple(src)]
-            D = B
-        A = np.zeros(shape, dtype=np.int64)
-        for u in range(L + 1):
-            if u == 0:
-                A += D[..., 0]
-            else:
-                A[..., u:] += D[..., : smax + 1 - u, u]
-    coeffs = A.sum(axis=tuple(range(k)))
-    return tuple(int(v) for v in coeffs)
-
-
-def _unitary_moment_float(k: int, L: int, w: float) -> float:
-    shape = (L + 1,) * k
-    A = np.zeros(shape, dtype=np.float64)
-    A[(L,) * k] = 1.0
-    for _col in range(k):
-        D = np.zeros(shape + (L + 1,), dtype=np.float64)
-        D[..., 0] = A
-        for row in range(k):
-            B = D.copy()
-            for c in range(1, L + 1):
-                src = [slice(None)] * (k + 1)
-                dst = [slice(None)] * (k + 1)
-                src[row] = slice(c, L + 1)
-                dst[row] = slice(0, L + 1 - c)
-                src[k] = slice(0, L + 1 - c)
-                dst[k] = slice(c, L + 1)
-                B[tuple(dst)] += D[tuple(src)]
-            D = B
-        wpow = w ** np.arange(L + 1)
-        A = np.tensordot(D, wpow, axes=([k], [0]))
-    return float(A.sum())
+    return _capped_degree_dp(2 * k, _unitary_edges(k), L)
 
 
 def unitary_truncated_moment_exact(k: int, L: int, z_abs: float) -> float:
@@ -153,7 +158,7 @@ def unitary_truncated_moment_exact(k: int, L: int, z_abs: float) -> float:
     if L <= _UNITARY_EXACT_CAP[k]:
         coeffs = unitary_truncated_coefficients(k, L)
         return math.fsum(c * w**s for s, c in enumerate(coeffs))
-    return _unitary_moment_float(k, L, w)
+    return _capped_degree_dp(2 * k, _unitary_edges(k), L, w)
 
 
 @cache
@@ -165,45 +170,7 @@ def so_truncated_coefficients(k: int, L: int) -> tuple[int, ...]:
         raise ResourceLimitError(
             f"exact coefficient guard: k={k} allows L <= {_SO_EXACT_CAP[k]}"
         )
-    n = 2 * k
-    smax = k * L
-    shape = (L + 1,) * n + (smax + 1,)
-    A = np.zeros(shape, dtype=np.int64)
-    A[(L,) * n + (0,)] = 1
-    for i, j in combinations(range(n), 2):
-        B = A.copy()
-        for c in range(1, L + 1):
-            src = [slice(None)] * (n + 1)
-            dst = [slice(None)] * (n + 1)
-            src[i] = slice(c, L + 1)
-            dst[i] = slice(0, L + 1 - c)
-            src[j] = slice(c, L + 1)
-            dst[j] = slice(0, L + 1 - c)
-            src[n] = slice(0, smax + 1 - c)
-            dst[n] = slice(c, smax + 1)
-            B[tuple(dst)] += A[tuple(src)]
-        A = B
-    coeffs = A.sum(axis=tuple(range(n)))
-    return tuple(int(v) for v in coeffs)
-
-
-def _so_moment_float(k: int, L: int, w: float) -> float:
-    n = 2 * k
-    shape = (L + 1,) * n
-    A = np.zeros(shape, dtype=np.float64)
-    A[(L,) * n] = 1.0
-    for i, j in combinations(range(n), 2):
-        B = A.copy()
-        for c in range(1, L + 1):
-            src = [slice(None)] * n
-            dst = [slice(None)] * n
-            src[i] = slice(c, L + 1)
-            dst[i] = slice(0, L + 1 - c)
-            src[j] = slice(c, L + 1)
-            dst[j] = slice(0, L + 1 - c)
-            B[tuple(dst)] += (w**c) * A[tuple(src)]
-        A = B
-    return float(A.sum())
+    return _capped_degree_dp(2 * k, _so_edges(k), L)
 
 
 def so_truncated_moment_exact(k: int, L: int, z_abs: float) -> float:
@@ -219,7 +186,7 @@ def so_truncated_moment_exact(k: int, L: int, z_abs: float) -> float:
     if L <= _SO_EXACT_CAP[k]:
         coeffs = so_truncated_coefficients(k, L)
         return math.fsum(c * w**s for s, c in enumerate(coeffs))
-    return _so_moment_float(k, L, w)
+    return _capped_degree_dp(2 * k, _so_edges(k), L, w)
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +231,11 @@ def I1_two_ways(k: int, z_abs: float) -> tuple[float, float]:
         residue += (
             (-1.0) ** m
             * math.comb(k - 1, m)
-            * (real_gamma(k + m) / real_gamma(m + 1))
+            * (math.gamma(k + m) / math.gamma(m + 1))
             * (1.0 / (1.0 - w)) ** m
         )
-    residue /= real_gamma(k) * u**k
-    closed = real_gamma(2 * k - 1) / (real_gamma(k) ** 2 * u ** (2 * k - 1)) * hyper_Fk(k, z_abs)
+    residue /= math.gamma(k) * u**k
+    closed = math.gamma(2 * k - 1) / (math.gamma(k) ** 2 * u ** (2 * k - 1)) * hyper_Fk(k, z_abs)
     return residue, closed
 
 
@@ -351,16 +318,6 @@ def haar_unitary_secular(N: int, rng: np.random.Generator) -> SecularSample:
     return SecularSample(N=N, coefficients=coeffs, flagged=drift > 1e-6)
 
 
-def _resolve_threads(threads: int) -> int:
-    if threads < 0:
-        raise ValueError("threads must be >= 0")
-    if threads == 0:
-        import os
-
-        return min(4, os.cpu_count() or 1)
-    return threads
-
-
 def mc_truncated_moment(
     group: str,
     k: int,
@@ -387,14 +344,13 @@ def mc_truncated_moment(
         raise ValueError("N must lie in 1..64")
     if samples < 100:
         raise ValueError("samples must be at least 100")
-    nthreads = _resolve_threads(threads)
+    nthreads = resolve_threads(threads)
     zpow = (-q.z_abs) ** np.arange(L + 1)
     vals = np.empty(samples, dtype=np.float64)
 
     def work(lo: int, hi: int):
         for i in range(lo, hi):
-            rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, i]))
-            sample = haar_unitary_secular(N, rng)
+            sample = haar_unitary_secular(N, trial_rng(seed, i))
             lam = np.dot(sample.coefficients[: L + 1], zpow)
             vals[i] = abs(lam) ** (2 * k)
 
@@ -423,7 +379,7 @@ def unitary_asymptotic_rhs(k: int, L: int, z_abs: float) -> float:
     q = _check_query("unitary", k, L, z_abs)
     u = 1.0 - q.z_abs**-2
     beta = float(beta_constant(k))
-    prefactor = beta * hyper_Fk(k, q.z_abs) * real_gamma(2 * k - 1) / (real_gamma(k) ** 2 * u ** (2 * k - 1))
+    prefactor = beta * hyper_Fk(k, q.z_abs) * math.gamma(2 * k - 1) / (math.gamma(k) ** 2 * u ** (2 * k - 1))
     return prefactor * q.z_abs ** (2 * k * L) * float(L) ** ((k - 1) ** 2)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .arith import primes_up_to
 from .errors import ResourceLimitError
-from .estimates import MomentEstimate
+from .estimates import MomentEstimate, resolve_threads, trial_rng
 
 __all__ = [
     "PhaseSieve",
@@ -116,14 +116,6 @@ def sample_rademacher_sum(x: int, rng: np.random.Generator) -> int:
     return int(signs[mask].sum())
 
 
-def _trial_streams(seed: int, trials: range, width: int) -> np.ndarray:
-    rows = np.empty((len(trials), width))
-    for i, t in enumerate(trials):
-        rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, t]))
-        rows[i] = rng.random(width)
-    return rows
-
-
 def estimate_abs_moment(
     model: str,
     x: int,
@@ -152,12 +144,7 @@ def estimate_abs_moment(
     x = _check_x(x)
     primes = primes_up_to(x)
     npr = len(primes)
-    if threads < 0:
-        raise ValueError("threads must be >= 0")
-    if threads == 0:
-        import os
-
-        threads = min(4, os.cpu_count() or 1)
+    threads = resolve_threads(threads)
     chunk = max(1, min(64, int(2e8 / (8 * (x + 1)))))
     vals = np.empty(trials, dtype=np.float64)
     n = np.arange(1, x + 1, dtype=np.float64)
@@ -167,7 +154,9 @@ def estimate_abs_moment(
     def run_block(lo: int, hi: int):
         for start in range(lo, hi, chunk):
             stop = min(start + chunk, hi)
-            rows = _trial_streams(seed, range(start, stop), npr)
+            rows = np.empty((stop - start, npr))
+            for i in range(stop - start):
+                rows[i] = trial_rng(seed, start + i).random(npr)
             if model == "steinhaus":
                 theta = _phase_matrix(x, rows, primes)
                 vals_c = np.exp(2j * np.pi * theta[:, 1:])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from rmfmoments.arith import (
@@ -15,7 +15,6 @@ from rmfmoments.arith import (
     factorize,
     factorize_small,
     primes_up_to,
-    real_gamma,
 )
 from rmfmoments.arith import _prime_zeta, _zeta
 
@@ -160,18 +159,7 @@ def test_char_local_factor_multiplicative_in_q():
     assert f6 == pytest.approx(f2 * f3, rel=1e-12)
 
 
-# --- gamma and zeta helpers --------------------------------------------------
-
-
-@given(st.floats(min_value=0.05, max_value=30.0, allow_nan=False))
-@settings(max_examples=200)
-def test_real_gamma_matches_math_gamma(x):
-    assert real_gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
-
-
-def test_real_gamma_integers():
-    for n in range(1, 10):
-        assert real_gamma(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-13)
+# --- zeta helpers -----------------------------------------------------------
 
 
 def test_zeta_two():

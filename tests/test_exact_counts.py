@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -171,10 +172,30 @@ def test_sign_enum_guard():
 @pytest.mark.parametrize("q", [5, 11, 101])
 @pytest.mark.parametrize("k", [1, 2])
 def test_char_average_equals_congruence_count(q, k):
-    x = min(10, int(math.isqrt(q)) + 2)
-    res = char_moment_average(k, q, x)
-    assert res.avg_all == Fraction(congruence_count(k, q, x))
-    assert res.float_error < 1e-6
+    # x = q - 1, q, q + 1 straddle the first full period of residues
+    for x in (min(10, int(math.isqrt(q)) + 2), q - 1, q, q + 1):
+        res = char_moment_average(k, q, x)
+        assert res.avg_all == Fraction(congruence_count(k, q, x))
+        assert res.float_error < 1e-6
+        if k == 1:
+            residues = Counter(n % q for n in range(1, x + 1) if n % q)
+            assert res.avg_all == sum(c * c for c in residues.values())
+
+
+def test_char_average_large_x_in_constant_memory():
+    # the residue histogram is a closed form in x, so x = 10^9 costs O(q)
+    tracemalloc.start()
+    try:
+        results = [char_moment_average(k, 11, 10**9) for k in (1, 2)]
+        counts = [congruence_count(k, 11, 10**9) for k in (1, 2)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for res, count in zip(results, counts):
+        assert res.avg_all == res.congruence_count == count
+    # every nonzero residue class mod 11 holds 90909091 of the n <= 10^9
+    assert results[0].avg_all == 10 * 90909091**2
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

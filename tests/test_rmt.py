@@ -21,6 +21,7 @@ from rmfmoments.rmt import (
     unitary_truncated_coefficients,
     unitary_truncated_moment_exact,
 )
+from rmfmoments.rmt import _capped_degree_dp, _so_edges, _unitary_edges
 
 SQRT_E = math.exp(0.5)
 
@@ -81,12 +82,42 @@ def test_unitary_coefficients_against_margin_walk(k, L):
     assert tuple(brute_unitary_coefficients(k, L)) == unitary_truncated_coefficients(k, L)
 
 
+def test_unitary_k3_coefficients_closed_forms():
+    # s <= L: every 3 x 3 matrix of total s meets the caps, C(s+8, 8);
+    # s = 3L: 3 x 3 magic squares with line sum L (MacMahon)
+    L = 6
+    coeffs = unitary_truncated_coefficients(3, L)
+    assert coeffs[: L + 1] == tuple(math.comb(s + 8, 8) for s in range(L + 1))
+    assert coeffs[-1] == math.comb(L + 2, 2) + 3 * math.comb(L + 3, 4)
+
+
+def test_so_k3_coefficients_against_zero_one_walk():
+    # at L = 1 every edge weight of K_6 is 0 or 1 and the weightings are
+    # the matchings, so a walk over {0,1}^15 sees all of them
+    edges = _so_edges(3)
+    brute = [0] * 4
+    for weights in product((0, 1), repeat=len(edges)):
+        degree = [0] * 6
+        for (i, j), c in zip(edges, weights):
+            degree[i] += c
+            degree[j] += c
+        if max(degree) <= 1:
+            brute[sum(weights)] += 1
+    assert so_truncated_coefficients(3, 1) == tuple(brute) == (1, 15, 45, 15)
+
+
 def test_exact_and_float_paths_agree():
-    for k, L, z in ((2, 12, 1.7), (3, 9, 1.2), (2, 25, SQRT_E)):
-        exact = unitary_truncated_moment_exact(k, L, z)
-        coeffs = unitary_truncated_coefficients(k, L)
-        direct = math.fsum(c * z ** (2 * s) for s, c in enumerate(coeffs))
-        assert exact == pytest.approx(direct, rel=1e-12)
+    # the float-weight DP against the integer coefficients, both groups
+    cases = (
+        (unitary_truncated_coefficients, _unitary_edges, 3, 9, 1.2),
+        (unitary_truncated_coefficients, _unitary_edges, 2, 12, 1.7),
+        (so_truncated_coefficients, _so_edges, 3, 4, 1.3),
+        (so_truncated_coefficients, _so_edges, 2, 6, 1.9),
+    )
+    for coefficients, edges, k, L, z in cases:
+        w = z * z
+        direct = math.fsum(c * w**s for s, c in enumerate(coefficients(k, L)))
+        assert _capped_degree_dp(2 * k, edges(k), L, w) == pytest.approx(direct, rel=1e-12)
 
 
 def test_so_exact_and_coefficients_agree():
