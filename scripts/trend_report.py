@@ -1,23 +1,16 @@
-"""Ratio tables: exact moments against their asymptotic leading terms.
+"""Ratio table: the exact Steinhaus 2k-th moment against its asymptotic leading term.
 
-Three views of the same question (how fast does the ratio approach 1):
+Prints exact/rhs over a geometric x grid, to show how fast the ratio
+approaches 1.  The unitary and SO analogues are `rmfmoments rmt --mode
+ratio-table`; this count side has no CLI equivalent.
 
-  counts   fourth-moment lattice count over a geometric x grid
-  unitary  truncated unitary moment over an L grid at fixed |z|
-  so       truncated special-orthogonal moment over an L grid
+    PYTHONPATH=src python scripts/trend_report.py --k 2 --x-list 100,1000,10000
 """
 
 import argparse
-import math
 
 from rmfmoments.analytic import steinhaus_asymptotic_rhs
 from rmfmoments.exact_counts import steinhaus_energy
-from rmfmoments.rmt import (
-    so_asymptotic_rhs,
-    so_truncated_moment_exact,
-    unitary_asymptotic_rhs,
-    unitary_truncated_moment_exact,
-)
 
 
 def counts_rows(k: int, xs: list[int]) -> list[tuple[float, float]]:
@@ -29,32 +22,16 @@ def counts_rows(k: int, xs: list[int]) -> list[tuple[float, float]]:
     return out
 
 
-def matrix_rows(group: str, k: int, z: float, ls: list[int]) -> list[tuple[float, float]]:
-    exact_fn = unitary_truncated_moment_exact if group == "unitary" else so_truncated_moment_exact
-    rhs_fn = unitary_asymptotic_rhs if group == "unitary" else so_asymptotic_rhs
-    return [(float(L), exact_fn(k, L, z) / rhs_fn(k, L, z)) for L in ls]
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--side", choices=("counts", "unitary", "so"), default="counts")
     ap.add_argument("--k", type=int, default=2)
-    ap.add_argument("--z", type=float, default=math.exp(0.5))
     ap.add_argument("--x-list", default="100,1000,10000")
-    ap.add_argument("--L-list", dest="L_list", default="5,10,20,40")
     args = ap.parse_args()
 
-    if args.side == "counts":
-        rows = counts_rows(args.k, [int(v) for v in args.x_list.split(",") if v])
-        label = "x"
-    else:
-        ls = [int(v) for v in args.L_list.split(",") if v]
-        rows = matrix_rows(args.side, args.k, args.z, ls)
-        label = "L"
-
-    print(f"{label:>8} {'exact/rhs':>12}")
-    for key, ratio in rows:
-        print(f"{int(key):>8} {ratio:>12.5f}")
+    rows = counts_rows(args.k, [int(v) for v in args.x_list.split(",") if v])
+    print(f"{'x':>8} {'exact/rhs':>12}")
+    for x, ratio in rows:
+        print(f"{int(x):>8} {ratio:>12.5f}")
 
 
 if __name__ == "__main__":

@@ -22,12 +22,9 @@ from .analytic import (
 )
 from .arith import (
     EulerProductResult,
-    FactorSieve,
     a_constant,
     b_constant,
-    build_spf_sieve,
     char_local_factor,
-    factorize,
     factorize_small,
     primes_up_to,
 )

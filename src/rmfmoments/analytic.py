@@ -112,10 +112,9 @@ def comparison_constant(k: int, sigma: float) -> float:
         raise ValueError("sigma must lie in [0, 1/2]")
     if sigma == 0.5:
         return 1.0
-    from .rmt import hyper_Fk
-
-    ratio = (1.0 - math.exp(2.0 * sigma - 1.0)) / (1.0 - 2.0 * sigma)
-    return ratio ** (2 * k - 1) / hyper_Fk(k, math.exp(0.5 - sigma))
+    wt = 1.0 - math.exp(2.0 * sigma - 1.0)  # 1 - |z|^-2 at |z| = e^(1/2 - sigma)
+    f_k = hyper_2F1_series(1.0 - k, 1.0 - k, 2.0 - 2.0 * k, wt)
+    return (wt / (1.0 - 2.0 * sigma)) ** (2 * k - 1) / f_k
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +127,13 @@ def hyper_2F1_series(a: float, b: float, c: float, w: float, eps: float = 1e-12)
     Terminates exactly when a or b is a nonpositive integer.  Otherwise
     requires |w| < 1 and stops once the geometric tail bound
     |term| * rho / (1 - rho) drops below eps times the partial sum,
-    where rho bounds every subsequent term ratio.
+    where rho bounds every subsequent term ratio.  A nonpositive integer
+    c is allowed only when the series terminates before c + m reaches 0.
     """
-    if c <= 0 and c == int(c):
+    ends = [-x for x in (a, b) if x <= 0 and x == int(x)]
+    terminating = bool(ends)
+    if c <= 0 and c == int(c) and (not terminating or -c < min(ends)):
         raise ValueError("c must not be a nonpositive integer")
-    terminating = (a <= 0 and a == int(a)) or (b <= 0 and b == int(b))
     if not terminating and not abs(w) < 1:
         raise ValueError("nonterminating series requires |w| < 1")
     total = 1.0

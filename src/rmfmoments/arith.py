@@ -1,4 +1,4 @@
-"""Sieves, factorization, and the Euler-product constants.
+"""The prime sieve, trial-division factorization, and the Euler-product constants.
 
 The products evaluated here are the arithmetic prefactors that appear in
 moment asymptotics of random multiplicative sums:
@@ -7,9 +7,13 @@ moment asymptotics of random multiplicative sums:
     b(k) = prod_p (1 - 1/p)^(k(2k-1)) * sum_{i<=k} C(2k, 2i) / p^i
 
 where d_k(p^m) = C(k+m-1, m) is the k-fold divisor function at prime
-powers, extended to real k > 0 through the Gamma function.  Both products
-converge like sum 1/p^2 and are accumulated in log space over primes in
-ascending order up to a cutoff P.  The discarded p > P part is not merely
+powers, extended to real k > 0 through the Gamma function.  Both go
+through one routine, ``_euler_product``, which takes the local series as
+a callable: the finite polynomial for b(k), and for a(k) (and the
+character factor) the one d_k series ``_dk_square_series``, summed for
+all primes at once until a geometric envelope certifies its tail.  Both
+products converge like sum 1/p^2 and are accumulated in log space over
+primes up to a cutoff P.  The discarded p > P part is not merely
 bounded but modeled: the exact 1/p^2 and 1/p^3 coefficients of the local
 factor's log are summed over all p > P through prime-zeta values, so what
 the returned ``tail_bound`` certifies is only the fourth-order remainder
@@ -29,11 +33,8 @@ import numpy as np
 from .errors import ResourceLimitError
 
 __all__ = [
-    "FactorSieve",
     "Factorization",
     "EulerProductResult",
-    "build_spf_sieve",
-    "factorize",
     "factorize_small",
     "primes_up_to",
     "dk_prime_power",
@@ -51,60 +52,7 @@ _prime_cache: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
-# sieves and factorization
-
-
-@dataclass(frozen=True)
-class FactorSieve:
-    """Smallest-prime-factor table for 2 <= n <= limit.
-
-    ``spf`` is an int32 array of length limit+1 with spf[n] = smallest
-    prime factor of n (spf[0] = spf[1] = 0).  Immutable after build and
-    safe to share between threads.
-    """
-
-    limit: int
-    spf: np.ndarray
-
-    def smallest_factor(self, n: int) -> int:
-        if not 2 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range [2, {self.limit}]")
-        return int(self.spf[n])
-
-
-def build_spf_sieve(limit: int) -> FactorSieve:
-    """Sieve of smallest prime factors up to ``limit`` (4 bytes/entry)."""
-    if limit < 2:
-        raise ValueError("sieve limit must be at least 2")
-    if limit > 2_000_000_000:
-        raise ResourceLimitError(f"spf sieve limit {limit} exceeds 2e9 entries")
-    spf = np.arange(limit + 1, dtype=np.int32)
-    spf[:2] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            idx = np.arange(p * p, limit + 1, p)
-            sub = spf[idx]
-            spf[idx] = np.where(sub == idx, p, sub)
-    spf.setflags(write=False)
-    return FactorSieve(limit=limit, spf=spf)
-
-
-def factorize(n: int, sieve: FactorSieve) -> Factorization:
-    """Factor ``n`` into ordered (prime, exponent) pairs via the spf table."""
-    if n < 1:
-        raise ValueError("can only factor positive integers")
-    if n > sieve.limit:
-        raise ValueError(f"n={n} exceeds sieve limit {sieve.limit}")
-    out: Factorization = []
-    spf = sieve.spf
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
+# prime sieve and factorization
 
 
 def factorize_small(n: int) -> Factorization:
@@ -285,27 +233,53 @@ def _choose_cutoff(m_r: float, r: float, eps: float) -> int:
     return P
 
 
-def _a_local_log_small(k: float, p: int, eps: float) -> tuple[float, float]:
-    """(log local factor, inner-sum tail bound) for one small prime."""
-    s = 1.0
-    term = 1.0
-    d_prev = 1.0
-    m = 0
-    while True:
-        m += 1
-        d_curr = d_prev * (k + m - 1) / m
-        term = d_curr * d_curr / float(p) ** m
+def _dk_square_series(k: float, y, rel_tol: float):
+    """(S, tail) with S = sum_{m>=0} d_k(p^m)^2 y^m, elementwise over ``y``.
+
+    ``tail`` bounds the part of S left out.  From step m on every term
+    ratio ((k+j)/(j+1))^2 y is at most rho = max(((k+m)/(m+1))^2 y, y),
+    because ((k+j)/(j+1))^2 is monotone in j (downward for k >= 1, upward
+    toward 1 for k < 1); the loop stops once rho < 0.95 and the geometric
+    envelope term * rho / (1 - rho) is within rel_tol * S for every entry.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    s = np.ones_like(y)
+    d = 1.0
+    for m in range(1, 10_001):
+        d = d * (k + m - 1) / m
+        term = d * d * y**m
         s += term
-        d_prev = d_curr
-        # term ratios are monotone in m (downward for k >= 1, upward toward
-        # 1/p for k < 1), so their sup from here on is max(current, 1/p)
-        rho = max(((k + m) / (m + 1)) ** 2 / p, 1.0 / p)
-        if rho < 0.95 and term < eps * 1e-3 * s:
-            inner_tail = term * rho / (1.0 - rho)
-            break
-        if m > 400:
-            raise RuntimeError("inner sum failed to converge (unreachable for k>0, p>=2)")
-    return k * k * math.log1p(-1.0 / p) + math.log(s), inner_tail / s
+        rho = np.maximum(((k + m) / (m + 1)) ** 2 * y, y)
+        if np.all(rho < 0.95):
+            tail = term * rho / (1.0 - rho)
+            if np.all(tail <= rel_tol * s):
+                return s, tail
+    raise RuntimeError("d_k local series failed to converge (k far out of supported range)")
+
+
+def _euler_product(
+    E: float, u1: float, u2: float, u3: float, series, eps: float
+) -> EulerProductResult:
+    """prod_p (1 - 1/p)^E * S(1/p), certified to |Delta log| <= eps.
+
+    ``series(y)`` returns (S(y), bound on what S leaves out) for the local
+    series S(y) = 1 + u1 y + u2 y^2 + u3 y^3 + ... with nonnegative
+    coefficients; u1 = E, so the 1/p terms of the local log cancel.
+    """
+    # y^2 and y^3 coefficients of the local log E log(1-y) + log S(y)
+    c2 = u2 - u1 * u1 / 2.0 - E / 2.0
+    c3 = u3 - u1 * u2 + u1**3 / 3.0 - E / 3.0
+    r, u_r = _choose_radius(lambda r: sum(series(r)) - 1.0)
+    m_r = -E * math.log1p(-r) - math.log1p(-u_r)
+    P = _choose_cutoff(m_r, r, eps)
+    primes = primes_up_to(P).astype(np.float64)
+    invp = 1.0 / primes
+    s, inner_tail = series(invp)
+    logterms = E * np.log1p(-invp) + np.log(s)
+    model, slack = _tail_model(c2, c3, P, primes)
+    total_log = math.fsum(logterms.tolist()) + model
+    tail = _cauchy_fourth_bound(m_r, r, P) + slack + float(np.sum(inner_tail / s))
+    return EulerProductResult(value=math.exp(total_log), truncation_prime=P, tail_bound=tail)
 
 
 @lru_cache(maxsize=None)
@@ -321,63 +295,10 @@ def a_constant(k: float, eps: float = 1e-8) -> EulerProductResult:
         raise ValueError("eps must lie in (0, 1e-2]")
     if k == 1:
         return EulerProductResult(value=1.0, truncation_prime=2, tail_bound=0.0)
-
-    # exact p^-2 and p^-3 coefficients of the local log (the p^-1 ones cancel)
-    e1 = k * k
     d2 = k * (k + 1) / 2.0
     d3 = k * (k + 1) * (k + 2) / 6.0
-    c2 = d2 * d2 - e1 * e1 / 2.0 - k * k / 2.0
-    c3 = d3 * d3 - e1 * d2 * d2 + e1**3 / 3.0 - k * k / 3.0
-
-    def inner_sum_abs(r: float) -> float:
-        total = 0.0
-        d = 1.0
-        m = 0
-        while True:
-            m += 1
-            d = d * (k + m - 1) / m
-            term = d * d * r**m
-            total += term
-            rho = max(((k + m) / (m + 1)) ** 2 * r, r)
-            if rho < 0.95 and term * rho / (1.0 - rho) < 1e-18:
-                return total
-            if m > 10_000:
-                return math.inf
-
-    r, u_r = _choose_radius(inner_sum_abs)
-    m_r = -k * k * math.log1p(-r) - math.log1p(-u_r)
-    P = _choose_cutoff(m_r, r, eps)
-    primes = primes_up_to(P)
-
-    split = 10_000
-    inner_tail_total = 0.0
-    logs_small = []
-    for p in primes[primes < split].tolist():
-        lg, rel_tail = _a_local_log_small(k, p, eps)
-        logs_small.append(lg)
-        inner_tail_total += rel_tail
-
-    big = primes[primes >= split].astype(np.float64)
-    log_big_sum = 0.0
-    if len(big):
-        invp = 1.0 / big
-        s = np.ones_like(big)
-        d = 1.0
-        for m in range(1, 7):
-            d = d * (k + m - 1) / m
-            s += (d * d) * invp**m
-        # remainder of the m-sum: next term times a geometric envelope
-        d7 = d * (k + 6) / 7
-        rem = (d7 * d7) * invp**7 * 2.0
-        logterms = (k * k) * np.log1p(-invp) + np.log1p(s - 1.0)
-        log_big_sum = math.fsum(logterms.tolist())
-        inner_tail_total += float(np.sum(rem / s))
-
-    model, slack = _tail_model(c2, c3, P, primes.astype(np.float64))
-    total_log = math.fsum(logs_small) + log_big_sum + model
-    tail = _cauchy_fourth_bound(m_r, r, P) + slack + inner_tail_total
-    return EulerProductResult(
-        value=math.exp(total_log), truncation_prime=P, tail_bound=tail
+    return _euler_product(
+        k * k, k * k, d2 * d2, d3 * d3, lambda y: _dk_square_series(k, y, eps * 1e-6), eps
     )
 
 
@@ -389,54 +310,23 @@ def b_constant(k: int, eps: float = 1e-8) -> EulerProductResult:
     if not 0 < eps <= 1e-2:
         raise ValueError("eps must lie in (0, 1e-2]")
 
+    def series(y):
+        s = 1.0
+        for i in range(1, k + 1):
+            s = s + math.comb(2 * k, 2 * i) * y**i
+        return s, 0.0
+
     bigk = k * (2 * k - 1)
-    c4b = math.comb(2 * k, 4)
-    c6b = math.comb(2 * k, 6)
-    # exact p^-2 and p^-3 coefficients of the local log; the p^-1
-    # coefficient C(2k,2) - K vanishes identically
-    c2 = c4b - bigk * bigk / 2.0 - bigk / 2.0
-    c3 = c6b - bigk * c4b + bigk**3 / 3.0 - bigk / 3.0
-
-    def inner_sum_abs(r: float) -> float:
-        return sum(math.comb(2 * k, 2 * i) * r**i for i in range(1, k + 1))
-
-    r, u_r = _choose_radius(inner_sum_abs)
-    m_r = -bigk * math.log1p(-r) - math.log1p(-u_r)
-    P = _choose_cutoff(m_r, r, eps)
-    primes = primes_up_to(P).astype(np.float64)
-    invp = 1.0 / primes
-    s = np.ones_like(primes)
-    for i in range(1, k + 1):
-        s += math.comb(2 * k, 2 * i) * invp**i
-    logterms = bigk * np.log1p(-invp) + np.log(s)
-    model, slack = _tail_model(c2, c3, P, primes)
-    total_log = math.fsum(logterms.tolist()) + model
-    tail = _cauchy_fourth_bound(m_r, r, P) + slack
-    return EulerProductResult(value=math.exp(total_log), truncation_prime=P, tail_bound=tail)
+    return _euler_product(bigk, bigk, math.comb(2 * k, 4), math.comb(2 * k, 6), series, eps)
 
 
 def char_local_factor(k: int, q_factorization: Factorization) -> float:
     """prod over distinct p | q of (sum_m d_k(p^m)^2 / p^m)^(-1).
 
-    Inner sums are truncated once a geometric envelope certifies the
-    remaining tail below 1e-12 relative.
+    Each local sum is certified to 1e-12 relative.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("char_local_factor requires integer k >= 1")
-    out = 1.0
-    for p, _e in q_factorization:
-        s = 1.0
-        d = 1.0
-        m = 0
-        while True:
-            m += 1
-            d = d * (k + m - 1) / m
-            term = d * d / float(p) ** m
-            s += term
-            rho = max(((k + m) / (m + 1)) ** 2 / p, 1.0 / p)
-            if rho < 0.95 and term * rho / (1 - rho) < 1e-12 * s:
-                break
-            if m > 500:
-                raise RuntimeError("local sum failed to converge")
-        out /= s
-    return out
+    primes = np.array([p for p, _e in q_factorization], dtype=np.float64)
+    s, _tail = _dk_square_series(k, 1.0 / primes, 1e-12)
+    return float(1.0 / np.prod(s))

@@ -47,9 +47,6 @@ __all__ = [
 ]
 
 _MAP_ENTRY_GUARD = 2**33
-# below this x the k=2 energy goes through the generic map; above it the
-# totient identity is used (exact either way, the identity is just O(x))
-_TOTIENT_CUTOFF = 4000
 # the totient path holds about five int64 arrays of length x; its traced
 # peak is 40.6 MB at x = 10^6, sieve included.  1 GiB admits x up to ~2.7e7
 _TOTIENT_BYTES_PER_X = 40
@@ -61,6 +58,10 @@ _FSUM_TERM_GUARD = 10**7
 # k-th power; 2^23 result bits take ~1.3 s (same host), and the cost grows
 # like bits^1.58 under CPython's Karatsuba multiplication
 _KRONECKER_BIT_GUARD = 2**23
+# the congruence count does (k-1) q^2 Python-int operations on object
+# arrays, 45-60 ns each on the same host: (2, 9973, 9973) is 9.95e7 of them
+# and takes 4.5-6.4 s, so every k = 2 modulus under the q <= 10^4 guard fits
+_CONGRUENCE_OP_GUARD = 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +216,7 @@ def steinhaus_energy(k: int, x: float, sigma: float = 0.0) -> EnergyResult:
         val = math.fsum(n ** (-2.0 * sigma) for n in range(1, xf + 1))
         return EnergyResult(k, xf, sigma, val, space)
 
-    if k == 2 and sigma == 0.0 and xf > _TOTIENT_CUTOFF:
+    if k == 2 and sigma == 0.0:
         return EnergyResult(k, xf, sigma, _energy_k2_sigma0(xf), space)
 
     mm = product_multiplicity_map(k, xf)
@@ -394,8 +395,12 @@ def congruence_count(k: int, q: int, x: int) -> int:
         raise ResourceLimitError("congruence-count guard: q must be <= 10^4")
     if x < 1:
         raise ValueError("x must be at least 1")
-    if x**k > 4 * 10**18:
-        raise ResourceLimitError("congruence-count guard: x^k too large for exact counts")
+    ops = (k - 1) * q * q
+    if ops > _CONGRUENCE_OP_GUARD:
+        raise ResourceLimitError(
+            f"congruence count at k = {k}, q = {q} takes (k-1) q^2 = {ops} object operations, "
+            f"past the {_CONGRUENCE_OP_GUARD} guard on run time"
+        )
     full, rest = divmod(x, q)
     counts = np.array([0] + [full + (r <= rest) for r in range(1, q)], dtype=object)
     level = counts

@@ -29,6 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .analytic import hyper_2F1_series
 from .errors import ResourceLimitError
 from .estimates import MomentEstimate, resolve_threads, trial_rng
 from .polytopes import beta_constant, count_margin_matrices, gamma_constant
@@ -194,23 +195,16 @@ def so_truncated_moment_exact(k: int, L: int, z_abs: float) -> float:
 
 
 def hyper_Fk(k: int, z_abs: float) -> float:
-    """F_k(z): the terminating k-term hypergeometric sum in 1 - |z|^-2.
+    """F_k(z) = 2F1(1-k, 1-k; 2-2k; 1 - |z|^-2), a terminating k-term sum.
 
-    k = 1 is the empty-product convention F_1 = 1.  The recurrence
-    denominator (2 - 2k + m) stays negative for m <= k - 2, so the loop
-    never divides by zero.
+    k = 1 is the empty-product convention F_1 = 1.  The series ends at
+    m = k - 1, before its denominator 2 - 2k + m reaches zero.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("hyper_Fk requires integer k >= 1")
     if not z_abs > 1.0:
         raise ValueError("hyper_Fk requires |z| > 1")
-    wt = 1.0 - z_abs**-2
-    total = 1.0
-    term = 1.0
-    for m in range(k - 1):
-        term *= (1 - k + m) ** 2 * wt / ((2 - 2 * k + m) * (m + 1))
-        total += term
-    return total
+    return hyper_2F1_series(1.0 - k, 1.0 - k, 2.0 - 2.0 * k, 1.0 - z_abs**-2)
 
 
 def I1_two_ways(k: int, z_abs: float) -> tuple[float, float]:

@@ -115,6 +115,9 @@ def test_2f1_agm_identity():
 def test_2f1_rejects_divergent_argument():
     with pytest.raises(ValueError):
         hyper_2F1_series(0.5, 0.5, 1.0, 1.5)
+    # c + m = 0 at m = 2, before the a = -3 series would end at m = 3
+    with pytest.raises(ValueError):
+        hyper_2F1_series(-3.0, 1.0, -2.0, 0.5)
 
 
 def test_agm_frozen_and_basic():

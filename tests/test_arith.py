@@ -9,14 +9,12 @@ from rmfmoments.arith import (
     EulerProductResult,
     a_constant,
     b_constant,
-    build_spf_sieve,
     char_local_factor,
     dk_prime_power,
-    factorize,
     factorize_small,
     primes_up_to,
 )
-from rmfmoments.arith import _prime_zeta, _zeta
+from rmfmoments.arith import _dk_square_series, _prime_zeta, _zeta
 
 ZETA2 = math.pi**2 / 6
 
@@ -27,14 +25,12 @@ def test_primes_up_to_small():
 
 
 def test_factorize_roundtrip():
-    sieve = build_spf_sieve(10**4)
     for n in (2, 12, 9973, 2**10, 2 * 3 * 5 * 7 * 11):
-        fac = factorize(n, sieve)
+        fac = factorize_small(n)
         prod = 1
         for p, e in fac:
             prod *= p**e
         assert prod == n
-        assert fac == factorize_small(n)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=12))
@@ -60,14 +56,15 @@ def test_a_constant_k1_exact():
 
 
 def test_a_constant_k2_is_six_over_pi_squared():
+    # local factor (1 - 1/p)^4 (1 + 1/p)/(1 - 1/p)^3 = 1 - 1/p^2
     res = a_constant(2.0)
-    assert abs(res.value - 6 / math.pi**2) < 1e-8
+    assert abs(res.value - 6 / math.pi**2) < 1e-12
     assert res.tail_bound <= 1e-8
 
 
 def test_b_constant_k1_is_six_over_pi_squared():
     res = b_constant(1)
-    assert abs(res.value - 6 / math.pi**2) < 1e-8
+    assert abs(res.value - 6 / math.pi**2) < 1e-12
 
 
 def test_a_constant_half_frozen():
@@ -94,6 +91,44 @@ def test_b2_against_direct_product_to_ten_million():
     bigk = k * (2 * k - 1)
     slow = math.exp(math.fsum((bigk * np.log1p(-invp) + np.log(s)).tolist()))
     assert abs(slow - b_constant(2).value) < 2e-9
+
+
+def test_a3_against_direct_product_to_ten_million():
+    # Independent route: the closed-form local factor
+    # (1-1/p)^9 sum_m C(m+2,2)^2 p^-m = (1-1/p)^4 (1 + 4/p + 1/p^2), multiplied
+    # up to P = 1e7 with no tail correction.  Each missing local log is
+    # -9/p^2 + 16/p^3 - ..., negative and above -10/p^2 in size, and by
+    # pi(t) <= 1.3 t/log t the p > P sum of p^-2 is at most 2.6/(P log P),
+    # so log(direct / a(3)) lies in (0, 26/(P log P)] = (0, 1.62e-7] up to
+    # the tail bound of a(3) itself.
+    P = 10**7
+    primes = primes_up_to(P).astype(np.float64)
+    invp = 1.0 / primes
+    logs = 4 * np.log1p(-invp) + np.log1p(4 * invp + invp * invp)
+    res = a_constant(3.0)
+    gap = math.fsum(logs.tolist()) - math.log(res.value)
+    assert -res.tail_bound < gap <= 26 / (P * math.log(P)) + res.tail_bound
+
+
+def test_dk_square_series_k2_closed_form():
+    # d_2(p^m) = m + 1 and sum (m+1)^2 y^m = (1+y)/(1-y)^3
+    y = 1.0 / primes_up_to(10**5).astype(np.float64)
+    s, tail = _dk_square_series(2, y, 1e-13)
+    exact = (1 + y) / (1 - y) ** 3
+    assert np.all(tail <= 1e-13 * s)
+    assert np.all(np.abs(s - exact) <= tail + 1e-14 * exact)
+
+
+def test_dk_square_series_half_against_dk_prime_power():
+    # partial sums to m = 60 of the lgamma-based coefficients; the terms
+    # left out are below 2^-60 relative at y = 1/2
+    y = 1.0 / primes_up_to(10**5).astype(np.float64)
+    s, tail = _dk_square_series(0.5, y, 1e-13)
+    ref = sum(dk_prime_power(0.5, m) ** 2 * y**m for m in range(61))
+    assert np.all(tail <= 1e-13 * s)
+    np.testing.assert_allclose(s, ref, rtol=1e-13)
+    # a scalar y (as in the radius search) gives the same numbers
+    assert float(_dk_square_series(0.5, 0.5, 1e-13)[0]) == s[0]
 
 
 @pytest.mark.parametrize("k", [0.5, 1.5, 2.0, 3.0])

@@ -84,9 +84,9 @@ def test_energy_monotone_in_x():
 
 
 def test_energy_k2_fast_path_agrees_with_map_path():
-    # the totient identity kicks in above the cutoff; compare both routes
-    # just on either side of it and at a couple of awkward x
-    for x in (10, 137, 1999):
+    # the unweighted k = 2 energy always takes the totient identity; the
+    # generic product map is the independent route
+    for x in [*range(1, 201), 1999, 3000]:
         mm = product_multiplicity_map(2, x)
         direct = sum(int(c) * int(c) for c in mm.counts.tolist())
         assert steinhaus_energy(2, x).value == direct
@@ -217,6 +217,17 @@ def test_char_average_power_guard():
     # the k = 3 power of the packed histogram for q ~ 10^5 has ~1.8e7 bits
     with pytest.raises(ResourceLimitError, match="guard on run time"):
         char_moment_average(3, 104729, 104729)
+
+
+def test_congruence_count_past_old_integer_range():
+    # x^k = 8e18 here; the count is exact in Python ints and costs O(k q^2)
+    assert congruence_count(3, 11, 2_000_000) == char_moment_average(3, 11, 2_000_000).avg_all
+
+
+def test_congruence_count_run_time_guard():
+    # (k-1) q^2 = 1.99e8 object operations, ~10 s, refused before the loop
+    with pytest.raises(ResourceLimitError, match="guard on run time"):
+        congruence_count(3, 9973, 100)
 
 
 def test_char_average_frozen():
