@@ -58,13 +58,11 @@ from .polytopes import (
     relative_volume,
 )
 from .rmt import (
-    MagicSquareSpec,
     SecularSample,
     TruncatedMomentQuery,
     I1_two_ways,
     haar_unitary_secular,
     hyper_Fk,
-    magic_count,
     mc_truncated_moment,
     so_asymptotic_rhs,
     so_truncated_coefficients,

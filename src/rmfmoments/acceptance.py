@@ -33,7 +33,7 @@ from .analytic import (
     steinhaus_asymptotic_rhs,
 )
 from .arith import a_constant, b_constant
-from .estimates import DEFAULT_SEED, trial_rng
+from .estimates import DEFAULT_SEED
 from .exact_counts import (
     char_moment_average,
     congruence_count,
@@ -49,7 +49,7 @@ from .polytopes import (
     lattice_count,
 )
 from .rmt import (
-    haar_unitary_secular,
+    _secular_blocks,
     mc_truncated_moment,
     so_truncated_coefficients,
     unitary_asymptotic_rhs,
@@ -268,9 +268,7 @@ def criterion_08(seed: int) -> CriterionResult:
 def criterion_09(seed: int) -> CriterionResult:
     t0 = time.perf_counter()
     n_samples = 10_000
-    c1 = np.empty(n_samples, dtype=np.complex128)
-    for i in range(n_samples):
-        c1[i] = haar_unitary_secular(8, trial_rng(seed, i)).coefficients[1]
+    c1 = np.concatenate([c[:, 1] for _, c in _secular_blocks(8, 1, seed, 0, n_samples)])
     m2 = np.abs(c1) ** 2
     m4 = np.abs(c1) ** 4
     se2 = m2.std(ddof=1) / math.sqrt(n_samples)

@@ -11,7 +11,8 @@ powers, extended to real k > 0 through the Gamma function.  Both go
 through one routine, ``_euler_product``, which takes the local series as
 a callable: the finite polynomial for b(k), and for a(k) (and the
 character factor) the one d_k series ``_dk_square_series``, summed for
-all primes at once until a geometric envelope certifies its tail.  Both
+all primes at once, each prime leaving the loop once its own geometric
+envelope certifies its tail.  Both
 products converge like sum 1/p^2 and are accumulated in log space over
 primes up to a cutoff P.  The discarded p > P part is not merely
 bounded but modeled: the exact 1/p^2 and 1/p^3 coefficients of the local
@@ -239,21 +240,26 @@ def _dk_square_series(k: float, y, rel_tol: float):
     ``tail`` bounds the part of S left out.  From step m on every term
     ratio ((k+j)/(j+1))^2 y is at most rho = max(((k+m)/(m+1))^2 y, y),
     because ((k+j)/(j+1))^2 is monotone in j (downward for k >= 1, upward
-    toward 1 for k < 1); the loop stops once rho < 0.95 and the geometric
-    envelope term * rho / (1 - rho) is within rel_tol * S for every entry.
+    toward 1 for k < 1); an entry leaves the loop once its rho < 0.95 and
+    its geometric envelope term * rho / (1 - rho) is within rel_tol * S.
     """
     y = np.asarray(y, dtype=np.float64)
-    s = np.ones_like(y)
+    s, tail = np.ones(y.size), np.zeros(y.size)
+    live = np.arange(y.size)
+    y_live, s_live = y.ravel(), s.copy()
     d = 1.0
     for m in range(1, 10_001):
         d = d * (k + m - 1) / m
-        term = d * d * y**m
-        s += term
-        rho = np.maximum(((k + m) / (m + 1)) ** 2 * y, y)
-        if np.all(rho < 0.95):
-            tail = term * rho / (1.0 - rho)
-            if np.all(tail <= rel_tol * s):
-                return s, tail
+        term = d * d * y_live**m
+        s_live += term
+        rho = np.maximum(((k + m) / (m + 1)) ** 2 * y_live, y_live)
+        envelope = term * rho / (1.0 - np.minimum(rho, 0.95))
+        done = (rho < 0.95) & (envelope <= rel_tol * s_live)
+        s[live[done]] = s_live[done]
+        tail[live[done]] = envelope[done]
+        live, y_live, s_live = live[~done], y_live[~done], s_live[~done]
+        if not live.size:
+            return s.reshape(y.shape), tail.reshape(y.shape)
     raise RuntimeError("d_k local series failed to converge (k far out of supported range)")
 
 
@@ -297,8 +303,11 @@ def a_constant(k: float, eps: float = 1e-8) -> EulerProductResult:
         return EulerProductResult(value=1.0, truncation_prime=2, tail_bound=0.0)
     d2 = k * (k + 1) / 2.0
     d3 = k * (k + 1) * (k + 2) / 6.0
+    # each local sum runs to float resolution (rel_tol <= 1e-16), so its
+    # truncation never limits the product's accuracy
+    rel_tol = min(eps, 1e-10) * 1e-6
     return _euler_product(
-        k * k, k * k, d2 * d2, d3 * d3, lambda y: _dk_square_series(k, y, eps * 1e-6), eps
+        k * k, k * k, d2 * d2, d3 * d3, lambda y: _dk_square_series(k, y, rel_tol), eps
     )
 
 

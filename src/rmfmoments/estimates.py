@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,23 @@ class MomentEstimate:
 def trial_rng(seed: int, t: int) -> np.random.Generator:
     """The counter-based stream of trial t, keyed by (seed, t)."""
     return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, t]))
+
+
+def trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    """The streams of trials lo..hi-1, bit for bit those of ``trial_rng``.
+
+    One Philox is reset for each trial to key (seed, t), counter 0 and an
+    empty buffer, which costs a fraction of building a new one.  The same
+    generator object is yielded every time, so draw from each stream
+    before advancing to the next.
+    """
+    bit_gen = np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, lo])
+    rng = np.random.Generator(bit_gen)
+    state = bit_gen.state
+    for t in range(lo, hi):
+        state["state"]["key"][1] = t
+        bit_gen.state = state
+        yield rng
 
 
 def resolve_threads(threads: int) -> int:

@@ -15,13 +15,18 @@ past them it carries w itself.
 
 Monte Carlo counterparts sample Haar unitaries via QR of a complex
 Gaussian matrix with the diagonal-phase correction (the uncorrected QR
-is not Haar distributed), then build secular coefficients from traces
-through Newton's identities.
+is not Haar distributed).  Draws are taken in stacks: each trial fills
+its Ginibre matrix from its own (seed, trial) stream, and one stacked QR
+runs over the block.  A moment of Lambda_L needs only the secular
+coefficients c_0..c_L, so only the traces of the first L powers are
+taken and Newton's identities run to degree L, vectorized over the
+stack; every coefficient is bit for bit the one a single draw gives.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
@@ -31,20 +36,18 @@ import numpy as np
 
 from .analytic import hyper_2F1_series
 from .errors import ResourceLimitError
-from .estimates import MomentEstimate, resolve_threads, trial_rng
-from .polytopes import beta_constant, count_margin_matrices, gamma_constant
+from .estimates import MomentEstimate, resolve_threads, trial_rngs
+from .polytopes import beta_constant, gamma_constant
 
 __all__ = [
     "TruncatedMomentQuery",
     "SecularSample",
-    "MagicSquareSpec",
     "unitary_truncated_coefficients",
     "unitary_truncated_moment_exact",
     "so_truncated_coefficients",
     "so_truncated_moment_exact",
     "hyper_Fk",
     "I1_two_ways",
-    "magic_count",
     "haar_unitary_secular",
     "mc_truncated_moment",
     "unitary_asymptotic_rhs",
@@ -55,6 +58,18 @@ _UNITARY_L_CAP = {1: 200, 2: 40, 3: 40, 4: 12}
 _UNITARY_EXACT_CAP = {1: 200, 2: 40, 3: 20, 4: 12}
 _SO_L_CAP = {1: 200, 2: 24, 3: 8}
 _SO_EXACT_CAP = {1: 200, 2: 20, 3: 8}
+# Haar draws are taken in stacks of at most this many matrix entries:
+# 1024 draws at N = 8, 16 at N = 64
+_BLOCK_ENTRIES = 1 << 16
+# A Haar draw costs about (L+1) N^3 + _HAAR_DRAW_OPS units: the QR and the
+# L - 1 matrix products, plus a fixed cost for the stream reset, the Ginibre
+# fill and the dot.  Measured at 0.25-0.64 ns a unit for N = 32..64 and
+# 5-20 us a draw for N <= 8 (Python 3.11, numpy 2.4, single-threaded
+# BLAS, 2-vCPU KVM guest), so the guard is about 100 s of draws.  The
+# largest verify, test or benchmark input (N = 64, L = 8, 200 samples) is
+# 4.8e8 units; the guard also caps the samples array at 3e6 entries.
+_HAAR_DRAW_OPS = 1 << 16
+_HAAR_OP_GUARD = 2 * 10**11
 
 
 @dataclass(frozen=True)
@@ -234,32 +249,6 @@ def I1_two_ways(k: int, z_abs: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# magic squares
-
-
-@dataclass(frozen=True)
-class MagicSquareSpec:
-    """Row-sum and column-sum partitions for a joint secular moment."""
-
-    mu: tuple[int, ...]
-    mu_tilde: tuple[int, ...]
-
-    def __post_init__(self):
-        for part in (self.mu, self.mu_tilde):
-            if len(part) > 12:
-                raise ValueError("partitions of more than 12 parts are out of scope")
-            if any(not isinstance(v, int) or v < 0 or v > 12 for v in part):
-                raise ValueError("partition entries must be integers in [0, 12]")
-
-
-def magic_count(spec: MagicSquareSpec) -> int:
-    """Number of nonnegative integer matrices with row sums mu, column sums mu_tilde."""
-    if sum(spec.mu) != sum(spec.mu_tilde):
-        return 0
-    return count_margin_matrices(tuple(spec.mu), tuple(spec.mu_tilde))
-
-
-# ---------------------------------------------------------------------------
 # Haar sampling and Monte Carlo moments
 
 
@@ -276,38 +265,69 @@ class SecularSample:
     flagged: bool
 
 
-def _secular_from_traces(traces: np.ndarray, count: int) -> np.ndarray:
-    # Newton's identities: n e_n = sum_{i=1..n} (-1)^(i-1) e_{n-i} p_i
-    e = np.zeros(count + 1, dtype=np.complex128)
-    e[0] = 1.0
-    for n in range(1, count + 1):
-        acc = 0.0 + 0.0j
-        sign = 1.0
-        for i in range(1, n + 1):
-            acc += sign * e[n - i] * traces[i]
-            sign = -sign
-        e[n] = acc / n
-    return e
+def _haar_unitaries(N: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """One Haar unitary from U(N) per stream, stacked along axis 0.
+
+    Each stream draws the real and then the imaginary parts of one complex
+    Ginibre matrix; one stacked QR follows, with R's diagonal phases folded
+    back into Q (without that correction the columns are not Haar).
+    """
+    x = np.stack([rng.standard_normal((2, N, N)) for rng in rngs])
+    q, r = np.linalg.qr((x[:, 0] + 1j * x[:, 1]) / math.sqrt(2.0))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _secular_head(u: np.ndarray, L: int) -> np.ndarray:
+    """c_0..c_L of det(I + x U) = sum_m c_m x^m for every matrix U of the stack u.
+
+    Only the traces p_1..p_L of the first L powers are taken.  Newton's
+    identities n c_n = sum_{i=1..n} (-1)^(i-1) c_{n-i} p_i then run to
+    degree L over the whole stack, in real arithmetic with each sum taken
+    left to right, so every coefficient is bit for bit the one that
+    complex scalar arithmetic gives (numpy's vectorized complex multiply
+    may round differently).
+    """
+    c = np.zeros((u.shape[0], L + 1), dtype=np.complex128)
+    c[:, 0] = 1.0
+    er, ei = c.real, c.imag
+    pr, pi = np.zeros_like(er), np.zeros_like(ei)
+    power = u
+    for j in range(1, L + 1):
+        if j > 1:
+            power = power @ u
+        trace = np.trace(power, axis1=1, axis2=2)
+        pr[:, j], pi[:, j] = trace.real, trace.imag
+    sign = (-1.0) ** np.arange(L)
+    for n in range(1, L + 1):
+        ar = sign[:n] * er[:, n - 1 :: -1]
+        ai = sign[:n] * ei[:, n - 1 :: -1]
+        br, bi = pr[:, 1 : n + 1], pi[:, 1 : n + 1]
+        # complex division by n is multiplication by 1.0 / n in numpy
+        er[:, n] = np.cumsum(ar * br - ai * bi, axis=1)[:, -1] * (1.0 / n)
+        ei[:, n] = np.cumsum(ar * bi + ai * br, axis=1)[:, -1] * (1.0 / n)
+    return c
+
+
+def _secular_blocks(
+    N: int, L: int, seed: int, lo: int, hi: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(first trial, c_0..c_L of each draw) for the Haar draws of trials lo..hi-1.
+
+    Trial t draws from the stream keyed by (seed, t); the draws are taken
+    in blocks of at most _BLOCK_ENTRIES matrix entries.
+    """
+    step = max(1, _BLOCK_ENTRIES // (N * N))
+    for start in range(lo, hi, step):
+        u = _haar_unitaries(N, trial_rngs(seed, start, min(start + step, hi)))
+        yield start, _secular_head(u, L)
 
 
 def haar_unitary_secular(N: int, rng: np.random.Generator) -> SecularSample:
-    """One Haar draw from U(N) with its full vector of secular coefficients.
-
-    QR of a complex Ginibre matrix, with R's diagonal phases folded back
-    into Q; without that correction the columns are not Haar.
-    """
+    """One Haar draw from U(N) with its full vector of secular coefficients."""
     if not 1 <= N <= 64:
         raise ValueError("N must lie in 1..64")
-    g = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    u = q * (d / np.abs(d))[None, :]
-    traces = np.zeros(N + 1, dtype=np.complex128)
-    power = np.eye(N, dtype=np.complex128)
-    for j in range(1, N + 1):
-        power = power @ u
-        traces[j] = np.trace(power)
-    coeffs = _secular_from_traces(traces, N)
+    coeffs = _secular_head(_haar_unitaries(N, [rng]), N)[0]
     drift = abs(abs(coeffs[N]) - 1.0)
     return SecularSample(N=N, coefficients=coeffs, flagged=drift > 1e-6)
 
@@ -338,15 +358,22 @@ def mc_truncated_moment(
         raise ValueError("N must lie in 1..64")
     if samples < 100:
         raise ValueError("samples must be at least 100")
+    ops = samples * ((L + 1) * N**3 + _HAAR_DRAW_OPS)
+    if ops > _HAAR_OP_GUARD:
+        raise ResourceLimitError(
+            f"Haar Monte Carlo at N = {N}, L = {L} with {samples} samples takes "
+            f"samples ((L+1) N^3 + {_HAAR_DRAW_OPS}) = {ops:.3g} operations, "
+            f"past the {_HAAR_OP_GUARD:.0e} guard on run time"
+        )
     nthreads = resolve_threads(threads)
     zpow = (-q.z_abs) ** np.arange(L + 1)
     vals = np.empty(samples, dtype=np.float64)
 
     def work(lo: int, hi: int):
-        for i in range(lo, hi):
-            sample = haar_unitary_secular(N, trial_rng(seed, i))
-            lam = np.dot(sample.coefficients[: L + 1], zpow)
-            vals[i] = abs(lam) ** (2 * k)
+        for start, c in _secular_blocks(N, L, seed, lo, hi):
+            # one dot per row: a stacked c @ zpow rounds differently
+            for i, row in enumerate(c, start):
+                vals[i] = abs(np.dot(row, zpow)) ** (2 * k)
 
     if nthreads == 1:
         work(0, samples)

@@ -136,6 +136,10 @@ def test_resource_refusal_exit_3(capsys):
     capsys.readouterr()
     assert main(["count", "--model", "steinhaus", "--k", "1", "--x", "1e9", "--sigma", "0.25"]) == 3
     capsys.readouterr()
+    # refused before the samples array is allocated
+    assert main(["rmt", "--mode", "mc", "--k", "2", "--L", "3", "--z", "1.5",
+                 "--samples", "2000000000"]) == 3
+    assert "run time" in capsys.readouterr().err
 
 
 def test_verify_subset(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -7,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmfmoments.errors import ResourceLimitError
+from rmfmoments.estimates import trial_rng, trial_rngs
+from rmfmoments.polytopes import count_margin_matrices
 from rmfmoments.rmt import (
     I1_two_ways,
-    MagicSquareSpec,
     haar_unitary_secular,
     hyper_Fk,
-    magic_count,
     mc_truncated_moment,
     so_asymptotic_rhs,
     so_truncated_coefficients,
@@ -21,7 +22,14 @@ from rmfmoments.rmt import (
     unitary_truncated_coefficients,
     unitary_truncated_moment_exact,
 )
-from rmfmoments.rmt import _capped_degree_dp, _so_edges, _unitary_edges
+from rmfmoments.rmt import (
+    _capped_degree_dp,
+    _haar_unitaries,
+    _secular_blocks,
+    _secular_head,
+    _so_edges,
+    _unitary_edges,
+)
 
 SQRT_E = math.exp(0.5)
 
@@ -165,10 +173,11 @@ def test_contour_integral_two_routes(k, z):
 
 
 def test_magic_counts():
-    assert magic_count(MagicSquareSpec((1, 1), (1, 1))) == 2
-    assert magic_count(MagicSquareSpec((2, 1), (2, 1))) == 2
-    assert magic_count(MagicSquareSpec((2,), (1, 1))) == 1
-    assert magic_count(MagicSquareSpec((1,), (2,))) == 0
+    assert count_margin_matrices((1, 1), (1, 1)) == 2
+    assert count_margin_matrices((2, 1), (2, 1)) == 2
+    assert count_margin_matrices((2,), (1, 1)) == 1
+    # row and column sums differ
+    assert count_margin_matrices((1,), (2,)) == 0
 
 
 # --- Haar sampling -----------------------------------------------------------
@@ -214,6 +223,55 @@ def test_secular_first_coefficient_is_minus_trace(n):
     assert abs(s.coefficients[1]) <= n + 1e-9
 
 
+def _reference_secular(N, rng):
+    # one QR per draw, all N matrix powers, Newton's identities on scalars
+    g = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    u = q * (d / np.abs(d))[None, :]
+    traces = np.zeros(N + 1, dtype=np.complex128)
+    power = np.eye(N, dtype=np.complex128)
+    for j in range(1, N + 1):
+        power = power @ u
+        traces[j] = np.trace(power)
+    e = np.zeros(N + 1, dtype=np.complex128)
+    e[0] = 1.0
+    for n in range(1, N + 1):
+        acc = 0.0 + 0.0j
+        sign = 1.0
+        for i in range(1, n + 1):
+            acc += sign * e[n - i] * traces[i]
+            sign = -sign
+        e[n] = acc / n
+    return e
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 64])
+def test_secular_coefficients_bit_identical_to_reference(n):
+    for t in range(3):
+        expected = _reference_secular(n, trial_rng(77, t))
+        assert np.array_equal(haar_unitary_secular(n, trial_rng(77, t)).coefficients, expected)
+    stacked = _secular_head(_haar_unitaries(n, trial_rngs(77, 0, 3)), n)
+    for t in range(3):
+        assert np.array_equal(stacked[t], _reference_secular(n, trial_rng(77, t)))
+    # a shorter head is the leading part of the full vector
+    head = _secular_head(_haar_unitaries(n, trial_rngs(77, 0, 3)), min(n, 3))
+    assert np.array_equal(head, stacked[:, : min(n, 3) + 1])
+
+
+def test_trial_rngs_match_trial_rng():
+    for t, rng in zip(range(5, 12), trial_rngs(2**40 + 3, 5, 12)):
+        expected = trial_rng(2**40 + 3, t)
+        assert np.array_equal(rng.standard_normal(7), expected.standard_normal(7))
+        assert np.array_equal(rng.random(3), expected.random(3))
+        assert rng.integers(0, 2**63) == expected.integers(0, 2**63)
+
+
+def test_secular_blocks_cover_the_range_in_order():
+    starts = [(start, c.shape) for start, c in _secular_blocks(64, 2, 1, 3, 40)]
+    assert starts == [(3, (16, 3)), (19, (16, 3)), (35, (5, 3))]
+
+
 def test_secular_rejects_bad_n():
     with pytest.raises(ValueError):
         haar_unitary_secular(0, np.random.default_rng(1))
@@ -235,6 +293,36 @@ def test_mc_thread_count_does_not_change_stream():
     b = mc_truncated_moment("unitary", 1, 2, 1.5, N=4, samples=600, seed=5, threads=4)
     assert a.mean == b.mean
     assert a.stderr == b.stderr
+
+
+def test_mc_bit_identical_to_reference_draws():
+    k, L, z, N, samples, seed = 2, 3, 1.5, 8, 200, 5
+    zpow = (-z) ** np.arange(L + 1)
+    vals = np.array([
+        abs(np.dot(_reference_secular(N, trial_rng(seed, i))[: L + 1], zpow)) ** (2 * k)
+        for i in range(samples)
+    ])
+    est = mc_truncated_moment("unitary", k, L, z, N=N, samples=samples, seed=seed)
+    assert est.mean == float(np.mean(vals))
+    assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(samples))
+
+
+def test_mc_threads_agree_across_blocks_at_n64():
+    # 16 draws per block at N = 64: 7 blocks on one thread, 4 on each of two
+    a = mc_truncated_moment("unitary", 1, 8, 1.5, N=64, samples=100, seed=3, threads=1)
+    b = mc_truncated_moment("unitary", 1, 8, 1.5, N=64, samples=100, seed=3, threads=2)
+    assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+
+def test_mc_run_time_guard_refuses_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="run time"):
+            mc_truncated_moment("unitary", 1, 8, 1.5, N=8, samples=2_000_000_000, seed=1)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mc_requires_enough_matrix():
