@@ -11,7 +11,6 @@ from .analytic import (
     AsymptoticTerm,
     BoundResult,
     agm,
-    char_asymptotic_rhs,
     comparison_constant,
     conjectured_coefficient,
     conjectured_moment,
@@ -24,7 +23,6 @@ from .arith import (
     EulerProductResult,
     a_constant,
     b_constant,
-    char_local_factor,
     factorize_small,
     primes_up_to,
 )
@@ -71,14 +69,6 @@ from .rmt import (
     unitary_truncated_coefficients,
     unitary_truncated_moment_exact,
 )
-from .simulate import (
-    PhaseSieve,
-    build_phase_sieve,
-    estimate_abs_moment,
-    helson_table,
-    sample_rademacher_sum,
-    sample_steinhaus_sum,
-    write_helson_csv,
-)
+from .simulate import estimate_abs_moment, helson_table
 
 __version__ = "0.1.0"

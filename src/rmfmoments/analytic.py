@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import Factorization, a_constant, b_constant, char_local_factor
+from .arith import a_constant, b_constant
 from .polytopes import alpha_constant, beta_constant, gamma_constant
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "BoundResult",
     "steinhaus_asymptotic_rhs",
     "rademacher_asymptotic_rhs",
-    "char_asymptotic_rhs",
     "comparison_constant",
     "hyper_2F1_series",
     "agm",
@@ -82,22 +81,6 @@ def rademacher_asymptotic_rhs(k: int, x: float) -> AsymptoticTerm:
         raise ValueError("x must exceed e")
     const = float(gamma_constant(k)) * b_constant(k).value * 2.0 ** (2 * k)
     return AsymptoticTerm(constant=const, x_exponent=float(k), log_exponent=float(2 * k * k - 3 * k))
-
-
-def char_asymptotic_rhs(k: int, q_factorization: Factorization, x: float) -> AsymptoticTerm:
-    """Leading term of the character-averaged 2k-th moment for modulus q.
-
-    Identical to the sigma = 0 Steinhaus term except the Euler factors
-    at primes dividing q are removed and replaced by their finite-sum
-    correction.
-    """
-    base = steinhaus_asymptotic_rhs(k, 0.0, x)
-    local = char_local_factor(k, q_factorization)
-    return AsymptoticTerm(
-        constant=base.constant * local,
-        x_exponent=base.x_exponent,
-        log_exponent=base.log_exponent,
-    )
 
 
 def comparison_constant(k: int, sigma: float) -> float:

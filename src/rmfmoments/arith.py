@@ -9,11 +9,10 @@ moment asymptotics of random multiplicative sums:
 where d_k(p^m) = C(k+m-1, m) is the k-fold divisor function at prime
 powers, extended to real k > 0 through the Gamma function.  Both go
 through one routine, ``_euler_product``, which takes the local series as
-a callable: the finite polynomial for b(k), and for a(k) (and the
-character factor) the one d_k series ``_dk_square_series``, summed for
-all primes at once, each prime leaving the loop once its own geometric
-envelope certifies its tail.  Both
-products converge like sum 1/p^2 and are accumulated in log space over
+a callable: the finite polynomial for b(k), and for a(k) the d_k
+series ``_dk_square_series``, summed for all primes at once, each prime
+leaving the loop once its own geometric envelope certifies its tail.
+Both products converge like sum 1/p^2 and are accumulated in log space over
 primes up to a cutoff P.  The discarded p > P part is not merely
 bounded but modeled: the exact 1/p^2 and 1/p^3 coefficients of the local
 factor's log are summed over all p > P through prime-zeta values, so what
@@ -41,7 +40,6 @@ __all__ = [
     "dk_prime_power",
     "a_constant",
     "b_constant",
-    "char_local_factor",
 ]
 
 Factorization = list[tuple[int, int]]
@@ -328,14 +326,3 @@ def b_constant(k: int, eps: float = 1e-8) -> EulerProductResult:
     bigk = k * (2 * k - 1)
     return _euler_product(bigk, bigk, math.comb(2 * k, 4), math.comb(2 * k, 6), series, eps)
 
-
-def char_local_factor(k: int, q_factorization: Factorization) -> float:
-    """prod over distinct p | q of (sum_m d_k(p^m)^2 / p^m)^(-1).
-
-    Each local sum is certified to 1e-12 relative.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("char_local_factor requires integer k >= 1")
-    primes = np.array([p for p, _e in q_factorization], dtype=np.float64)
-    s, _tail = _dk_square_series(k, 1.0 / primes, 1e-12)
-    return float(1.0 / np.prod(s))

@@ -52,7 +52,7 @@ from .rmt import (
     unitary_asymptotic_rhs,
     unitary_truncated_moment_exact,
 )
-from .simulate import estimate_abs_moment, helson_table, write_helson_csv
+from .simulate import estimate_abs_moment, helson_table
 
 __all__ = ["main"]
 
@@ -265,10 +265,7 @@ def _cmd_simulate(args, seed, t0) -> int:
         x_list = _parse_int_list(args.x_list)
         rows = helson_table(x_list, args.trials, seed, threads=args.threads)
         if args.format == "csv":
-            if args.out:
-                write_helson_csv(rows, args.out)
-            else:
-                _emit(_csv_rows(rows), None)
+            _emit(_csv_rows(rows), args.out)
             return 0
         params = {"x_list": x_list, "trials": args.trials}
         _emit_payload("simulate", params, {"rows": rows}, seed, t0, args.out)
@@ -367,6 +364,14 @@ def _parse_int_list(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
+
+
+def _env_threads() -> int:
+    env = os.environ.get("RMFMOMENTS_THREADS")
+    try:
+        return int(env) if env else 1
+    except ValueError as exc:
+        raise ValueError(f"RMFMOMENTS_THREADS must be an integer, got {env!r}") from exc
 
 
 def _csv_rows(rows: list[dict]) -> str:
@@ -475,9 +480,6 @@ def main(argv=None) -> int:
     if args.seed < 0 or args.seed > 2**64 - 1:
         print("seed must be a decimal 64-bit value", file=sys.stderr)
         return 2
-    if args.threads is None:
-        env = os.environ.get("RMFMOMENTS_THREADS")
-        args.threads = int(env) if env else 1
     if args.command == "rmt" and args.L is None and args.L_list is None:
         print("rmt requires --L (or --L-list for ratio-table)", file=sys.stderr)
         return 2
@@ -485,6 +487,8 @@ def main(argv=None) -> int:
         args.L = 0
     t0 = time.perf_counter()
     try:
+        if args.threads is None:
+            args.threads = _env_threads()
         return args.func(args, args.seed, t0)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource guard: {exc}\n")

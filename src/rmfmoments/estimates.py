@@ -32,9 +32,15 @@ class MomentEstimate:
             raise ValueError("trials must be positive")
 
 
+def _philox_key(seed: int, t: int) -> np.ndarray:
+    # a uint64 array, never a list: numpy would cast a list holding a value
+    # >= 2^63 to float64 and merge the streams of distinct seeds
+    return np.array([seed & 0xFFFFFFFFFFFFFFFF, t], dtype=np.uint64)
+
+
 def trial_rng(seed: int, t: int) -> np.random.Generator:
     """The counter-based stream of trial t, keyed by (seed, t)."""
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, t]))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, t)))
 
 
 def trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
@@ -45,7 +51,7 @@ def trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
     generator object is yielded every time, so draw from each stream
     before advancing to the next.
     """
-    bit_gen = np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, lo])
+    bit_gen = np.random.Philox(key=_philox_key(seed, lo))
     rng = np.random.Generator(bit_gen)
     state = bit_gen.state
     for t in range(lo, hi):

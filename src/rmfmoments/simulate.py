@@ -1,10 +1,14 @@
 """Monte Carlo sampling of random multiplicative sums.
 
-A Steinhaus sample assigns an independent uniform phase u_p to each
-prime and gives n the phase sum_{p^j | n} alpha_p(n) u_p; the sieve
-builds all x phases at once with one strided add per prime power, never
-factorizing anything.  The Rademacher model flips a sign per prime and
-lives on squarefree integers, so its partial sums are exact integers.
+A Steinhaus f is completely multiplicative and a Rademacher f is
+multiplicative on squarefree n, so both obey f(n) = f(p) f(n/p) with
+p = spf(n), the smallest prime factor of n.  One table, built per
+estimate, orders 0..x by Omega(n), the number of prime factors counted
+with multiplicity, and stores the columns of spf(n) and n/spf(n); each
+Omega-level is then filled from the levels below it with one vectorized
+product.  Steinhaus rows take exp only at the primes and fold the weight
+n^-sigma into f(p); Rademacher rows are the same fill in int8, with
+f(n) = 0 wherever p also divides n/p, so their sums are exact integers.
 
 Estimates are reproducible bit for bit: trial t always draws from a
 counter-based stream keyed by (seed, t), independent of chunking and
@@ -13,7 +17,6 @@ thread count.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,27 +25,14 @@ import numpy as np
 
 from .arith import primes_up_to
 from .errors import ResourceLimitError
-from .estimates import MomentEstimate, resolve_threads, trial_rng
+from .estimates import MomentEstimate, resolve_threads, trial_rngs
 
-__all__ = [
-    "PhaseSieve",
-    "build_phase_sieve",
-    "sample_steinhaus_sum",
-    "sample_rademacher_sum",
-    "estimate_abs_moment",
-    "helson_table",
-    "write_helson_csv",
-]
+__all__ = ["estimate_abs_moment", "helson_table"]
 
 _MAX_SIEVE_X = 10_000_000
-
-
-@dataclass(frozen=True)
-class PhaseSieve:
-    """theta[n] in [0, 1) is the phase of the n-th Steinhaus value; index 0 unused."""
-
-    x: int
-    theta: np.ndarray
+# bytes of fill state per chunk of trials; small chunks keep the gathers
+# in cache, and one trial's row is never split
+_CHUNK_BYTES = 16 * 2**20
 
 
 def _check_x(x: int) -> int:
@@ -54,66 +44,77 @@ def _check_x(x: int) -> int:
     return x
 
 
-def _phase_matrix(x: int, u: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Rows of Steinhaus phases for a batch of trials; u is (trials, len(primes))."""
-    theta = np.zeros((u.shape[0], x + 1))
-    for j, p in enumerate(primes):
-        pk = int(p)
-        col = u[:, j : j + 1]
-        while pk <= x:
-            theta[:, pk::pk] += col
-            pk *= int(p)
-    return theta
+@dataclass(frozen=True)
+class _FillTable:
+    """Column layout of the rows built by ``_multiplicative_rows``.
+
+    Column i holds f(n[i]).  Column 0 is n = 0 with f(0) = 0, column 1 is
+    n = 1, columns 2 .. pi(x) + 1 are the primes in increasing order, and
+    every later Omega-level occupies one slice lo:hi.  Each level carries
+    the columns of spf(n) and of n/spf(n); where f(n) must vanish, the
+    second points at column 0.
+    """
+
+    n: np.ndarray
+    levels: list[tuple[int, int, np.ndarray, np.ndarray]]
 
 
-def build_phase_sieve(x: int, rng: np.random.Generator) -> PhaseSieve:
-    x = _check_x(x)
-    primes = primes_up_to(x)
-    u = rng.random((1, len(primes)))
-    theta = _phase_matrix(x, u, primes)[0]
-    theta %= 1.0
-    theta[0] = 0.0
-    return PhaseSieve(x=x, theta=theta)
+def _fill_table(x: int, primes: np.ndarray, squarefree: bool) -> _FillTable:
+    """Smallest-prime-factor table of 0..x, grouped by Omega(n).
+
+    With ``squarefree`` the table encodes the Rademacher rule: f(n) = 0
+    where p = spf(n) also divides n/p, and so for every n that is not
+    squarefree.
+    """
+    # int32 columns: x <= _MAX_SIEVE_X < 2^31; spf(0) = spf(1) = 1 by fiat
+    spf = np.ones(x + 1, dtype=np.int32)
+    # descending, so the smallest prime dividing n writes last
+    for p in primes[primes <= math.isqrt(x)][::-1]:
+        spf[p * p :: p] = p
+    spf[primes] = primes
+    cof = np.arange(x + 1, dtype=np.int32) // spf
+    # Omega(n) = 1 + Omega(n/spf(n)), so walk every cofactor chain down to
+    # 1 at once; Omega(0) = -1 puts n = 0 in column 0
+    omega = np.ones(x + 1, dtype=np.int8)
+    omega[:2] = (-1, 0)
+    m = cof
+    while (live := m > 1).any():
+        omega += live
+        m = cof[m]
+    del m, live
+    col = np.empty(x + 1, dtype=np.int32)
+    parts, levels, lo = [], [], 0
+    for k in range(-1, int(omega.max()) + 1):
+        members = np.flatnonzero(omega == k).astype(np.int32)
+        hi = lo + len(members)
+        col[members] = np.arange(lo, hi, dtype=np.int32)
+        if k > 1:
+            p, q = spf[members], cof[members]
+            q_col = col[q]
+            if squarefree:
+                q_col[spf[q] == p] = 0
+            levels.append((lo, hi, col[p], q_col))
+        parts.append(members)
+        lo = hi
+    n = np.concatenate(parts)
+    return _FillTable(n=n, levels=levels)
 
 
-def sample_steinhaus_sum(x: int, sigma: float, rng: np.random.Generator) -> complex:
-    """One draw of sum_{n <= x} f(n) / n^sigma for a fresh Steinhaus f."""
-    if not 0.0 <= sigma <= 0.5:
-        raise ValueError("sigma must lie in [0, 1/2]")
-    sieve = build_phase_sieve(x, rng)
-    n = np.arange(1, sieve.x + 1, dtype=np.float64)
-    weights = n**-sigma if sigma else np.ones_like(n)
-    vals = np.exp(2j * np.pi * sieve.theta[1:]) * weights
-    return complex(vals.sum())
+def _multiplicative_rows(values_at_primes: np.ndarray, table: _FillTable) -> np.ndarray:
+    """One row of f(n) per row of f(p), laid out as ``table`` says.
 
-
-def _squarefree_mask(x: int) -> np.ndarray:
-    sq = np.ones(x + 1, dtype=bool)
-    sq[0] = False
-    for p in primes_up_to(int(math.isqrt(x))):
-        p2 = int(p) * int(p)
-        sq[p2::p2] = False
-    return sq
-
-
-def _rademacher_matrix(x: int, eps: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    signs = np.ones((eps.shape[0], x + 1), dtype=np.int8)
-    for j, p in enumerate(primes):
-        p = int(p)
-        signs[:, p::p] *= eps[:, j : j + 1]
-    return signs
-
-
-def sample_rademacher_sum(x: int, rng: np.random.Generator) -> int:
-    """One draw of the integer sum_{n <= x} f(n) for a fresh Rademacher f."""
-    x = _check_x(x)
-    primes = primes_up_to(x)
-    # derived from uniforms, not integers(), so trial t of an estimate run
-    # and a standalone draw from the same keyed stream agree exactly
-    eps = (rng.random((1, len(primes))) < 0.5).astype(np.int8) * 2 - 1
-    signs = _rademacher_matrix(x, eps, primes)[0]
-    mask = _squarefree_mask(x)
-    return int(signs[mask].sum())
+    values_at_primes is (trials, pi(x)) in the order of
+    ``primes_up_to(x)``; the rows keep its dtype.
+    """
+    trials, npr = values_at_primes.shape
+    rows = np.empty((trials, len(table.n)), dtype=values_at_primes.dtype)
+    rows[:, 0] = 0
+    rows[:, 1] = 1
+    rows[:, 2 : 2 + npr] = values_at_primes
+    for lo, hi, p_col, q_col in table.levels:
+        f_p = np.take(rows, p_col, axis=1)
+        np.multiply(f_p, np.take(rows, q_col, axis=1), out=rows[:, lo:hi])
+    return rows
 
 
 def estimate_abs_moment(
@@ -144,30 +145,31 @@ def estimate_abs_moment(
     x = _check_x(x)
     primes = primes_up_to(x)
     npr = len(primes)
+    table = _fill_table(x, primes, squarefree=model == "rademacher")
     threads = resolve_threads(threads)
-    chunk = max(1, min(64, int(2e8 / (8 * (x + 1)))))
+    # a trial's state: its row of complex128 or int8 cells and its share of
+    # the two gathers that fill the widest Omega-level
+    cell_bytes = 16 if model == "steinhaus" else 1
+    widest = max((hi - lo for lo, hi, _, _ in table.levels), default=0)
+    chunk = max(1, min(64, _CHUNK_BYTES // (cell_bytes * (x + 1 + 2 * widest))))
     vals = np.empty(trials, dtype=np.float64)
-    n = np.arange(1, x + 1, dtype=np.float64)
-    weights = n**-sigma if sigma else None
-    sq = _squarefree_mask(x) if model == "rademacher" else None
+    # n^-sigma is completely multiplicative, so the fill carries it from f(p)
+    weights = primes.astype(np.float64) ** -sigma if sigma else None
 
     def run_block(lo: int, hi: int):
         for start in range(lo, hi, chunk):
             stop = min(start + chunk, hi)
-            rows = np.empty((stop - start, npr))
-            for i in range(stop - start):
-                rows[i] = trial_rng(seed, start + i).random(npr)
+            u = np.empty((stop - start, npr))
+            for i, rng in enumerate(trial_rngs(seed, start, stop)):
+                u[i] = rng.random(npr)
             if model == "steinhaus":
-                theta = _phase_matrix(x, rows, primes)
-                vals_c = np.exp(2j * np.pi * theta[:, 1:])
+                f_p = np.exp(2j * np.pi * u)
                 if weights is not None:
-                    vals_c *= weights
-                s = np.abs(vals_c.sum(axis=1))
+                    f_p *= weights
             else:
-                eps = (rows < 0.5).astype(np.int8) * 2 - 1
-                signs = _rademacher_matrix(x, eps, primes)
-                s = np.abs(signs[:, sq].sum(axis=1).astype(np.float64))
-            vals[start:stop] = s**two_k
+                f_p = (u < 0.5).astype(np.int8) * 2 - 1
+            s = np.abs(_multiplicative_rows(f_p, table).sum(axis=1))
+            vals[start:stop] = s.astype(np.float64) ** two_k
 
     if threads == 1:
         run_block(0, trials)
@@ -209,9 +211,3 @@ def helson_table(
         )
     return rows
 
-
-def write_helson_csv(rows: list[dict[str, float]], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from rmfmoments.analytic import (
     AsymptoticTerm,
     agm,
-    char_asymptotic_rhs,
     comparison_constant,
     conjectured_coefficient,
     conjectured_moment,
@@ -52,17 +51,6 @@ def test_rademacher_rhs_k2_constant():
     assert term.constant == pytest.approx(0.018731243696945846, rel=1e-8)
     assert term.x_exponent == 2.0
     assert term.log_exponent == 2.0
-
-
-def test_char_rhs_strips_local_factors():
-    base = steinhaus_asymptotic_rhs(2, 0.0, 100.0)
-    term = char_asymptotic_rhs(2, factorize_small(101), 100.0)
-    assert term.constant < base.constant
-    assert term.x_exponent == base.x_exponent
-    assert term.log_exponent == base.log_exponent
-    # k=2 local factor at a single prime p is (1-1/p)^3 / (1+1/p)
-    x = 1 / 101
-    assert term.constant / base.constant == pytest.approx((1 - x) ** 3 / (1 + x), rel=1e-10)
 
 
 def test_asymptotic_term_validation():

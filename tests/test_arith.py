@@ -9,7 +9,6 @@ from rmfmoments.arith import (
     EulerProductResult,
     a_constant,
     b_constant,
-    char_local_factor,
     dk_prime_power,
     factorize_small,
     primes_up_to,
@@ -168,30 +167,6 @@ def test_result_type():
     res = a_constant(2.0)
     assert isinstance(res, EulerProductResult)
     assert res.truncation_prime >= 2
-
-
-# --- character local factor --------------------------------------------------
-
-
-def test_char_local_factor_single_prime_k1():
-    # k=1: local sum is sum_m p^-m = p/(p-1), so the factor is 1 - 1/p
-    fac = factorize_small(7)
-    assert char_local_factor(1, fac) == pytest.approx(6 / 7, rel=1e-12)
-
-
-def test_char_local_factor_k2_prime_101():
-    # k=2: d_2(p^m) = m+1, sum (m+1)^2 x^m = (1+x)/(1-x)^3 at x = 1/p
-    p = 101
-    x = 1 / p
-    expected = (1 - x) ** 3 / (1 + x)
-    assert char_local_factor(2, factorize_small(p)) == pytest.approx(expected, rel=1e-11)
-
-
-def test_char_local_factor_multiplicative_in_q():
-    f6 = char_local_factor(2, factorize_small(6))
-    f2 = char_local_factor(2, factorize_small(2))
-    f3 = char_local_factor(2, factorize_small(3))
-    assert f6 == pytest.approx(f2 * f3, rel=1e-12)
 
 
 # --- zeta helpers -----------------------------------------------------------

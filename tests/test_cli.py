@@ -113,6 +113,15 @@ def test_threads_env_override_keeps_results(capsys, monkeypatch):
     assert doc2["results"]["stderr"] == doc["results"]["stderr"]
 
 
+def test_bad_threads_env_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("RMFMOMENTS_THREADS", "abc")
+    assert main(["simulate", "--x", "50", "--trials", "150"]) == 2
+    assert "RMFMOMENTS_THREADS" in capsys.readouterr().err
+    # an explicit flag never reads the environment
+    assert main(["simulate", "--x", "50", "--trials", "150", "--threads", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["count", "--model", "steinhaus", "--k", "2"]) == 2  # missing --x
     capsys.readouterr()
@@ -178,3 +187,17 @@ def test_helson_csv_format(capsys):
     lines = [ln for ln in out.strip().splitlines() if ln]
     assert lines[0].startswith("x,")
     assert len(lines) == 3
+
+
+def test_helson_csv_roundtrip(tmp_path, capsys):
+    # --out writes the bytes stdout would carry, floats at 17 digits
+    args = ["simulate", "--helson", "--x-list", "100", "--trials", "120", "--format", "csv"]
+    _, out = run_cli(capsys, *args)
+    target = tmp_path / "table.csv"
+    code, rest = run_cli(capsys, *args, "--out", str(target))
+    assert code == 0 and rest == ""
+    assert target.read_text() == out
+    header, row = out.splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["x"] == "100"
+    assert float(cells["mean_abs"]) > 0

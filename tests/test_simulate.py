@@ -1,59 +1,118 @@
 import math
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmfmoments.arith import primes_up_to
 from rmfmoments.errors import ResourceLimitError
+from rmfmoments.estimates import trial_rng
 from rmfmoments.simulate import (
-    build_phase_sieve,
+    _fill_table,
+    _multiplicative_rows,
     estimate_abs_moment,
     helson_table,
-    sample_rademacher_sum,
-    sample_steinhaus_sum,
-    write_helson_csv,
 )
 
 
+def _strided_phase_sieve(x, u, primes):
+    """Independent route to the Steinhaus phases: theta[:, n] = sum of u_p
+    over the prime powers p^j dividing n, one strided add per prime power."""
+    theta = np.zeros((u.shape[0], x + 1))
+    for j, p in enumerate(primes):
+        pk = int(p)
+        while pk <= x:
+            theta[:, pk::pk] += u[:, j : j + 1]
+            pk *= int(p)
+    return theta
+
+
+def _is_squarefree(n):
+    return n > 0 and all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+
+
+def _kernel_rows(values_at_primes, x, squarefree=False):
+    """Rows of the fill kernel put back in natural order: column n is f(n)."""
+    table = _fill_table(x, primes_up_to(x), squarefree)
+    rows = _multiplicative_rows(values_at_primes, table)
+    out = np.empty_like(rows)
+    out[:, table.n] = rows
+    return out
+
+
+def _signs(rng, x):
+    return (rng.random((1, len(primes_up_to(x)))) < 0.5).astype(np.int8) * 2 - 1
+
+
 def test_phase_sieve_is_completely_multiplicative():
-    sieve = build_phase_sieve(20, np.random.default_rng(31))
-    th = sieve.theta
-    assert th[1] == pytest.approx(0.0)
-    # phases add mod 1 along factorizations
-    assert th[6] % 1 == pytest.approx((th[2] + th[3]) % 1, abs=1e-12)
-    assert th[8] % 1 == pytest.approx((3 * th[2]) % 1, abs=1e-12)
-    assert th[12] % 1 == pytest.approx((2 * th[2] + th[3]) % 1, abs=1e-12)
-    assert th[15] % 1 == pytest.approx((th[3] + th[5]) % 1, abs=1e-12)
+    u = np.random.default_rng(31).random((1, len(primes_up_to(20))))
+    f = _kernel_rows(np.exp(2j * np.pi * u), 20)[0]
+    assert f[0] == 0 and f[1] == 1
+    assert f[6] == pytest.approx(f[2] * f[3], abs=1e-15)
+    assert f[8] == pytest.approx(f[2] ** 3, abs=1e-15)
+    assert f[12] == pytest.approx(f[2] ** 2 * f[3], abs=1e-15)
+    assert f[15] == pytest.approx(f[3] * f[5], abs=1e-15)
+    assert np.allclose(np.abs(f[1:]), 1.0, rtol=0, atol=1e-15)
 
 
 def test_phase_sieve_range():
-    sieve = build_phase_sieve(100, np.random.default_rng(8))
-    assert np.all(sieve.theta[1:] >= 0.0)
-    assert np.all(sieve.theta[1:] < 1.0)
+    # the kernel and the strided phase sieve agree on every n <= x
+    for x in (1, 2, 3, 4, 30, 1000):
+        primes = primes_up_to(x)
+        u = np.random.default_rng(8).random((3, len(primes)))
+        theta = _strided_phase_sieve(x, u, primes)
+        f = _kernel_rows(np.exp(2j * np.pi * u), x)
+        assert np.allclose(f[:, 1:], np.exp(2j * np.pi * theta[:, 1:]), rtol=0, atol=1e-13)
 
 
 def test_steinhaus_sum_x1():
-    assert sample_steinhaus_sum(1, 0.0, np.random.default_rng(0)) == 1 + 0j
+    est = estimate_abs_moment("steinhaus", 1, 0.0, 2.0, trials=100, seed=0)
+    assert est.mean == 1.0 and est.stderr == 0.0
 
 
 def test_steinhaus_draw_deterministic():
-    a = sample_steinhaus_sum(500, 0.25, np.random.default_rng(77))
-    b = sample_steinhaus_sum(500, 0.25, np.random.default_rng(77))
+    a = estimate_abs_moment("steinhaus", 500, 0.25, 2.0, trials=100, seed=77)
+    b = estimate_abs_moment("steinhaus", 500, 0.25, 2.0, trials=100, seed=77)
     assert a == b
+
+
+@pytest.mark.parametrize("x, sigma, two_k", [(1000, 0.0, 2.0), (1000, 0.25, 4.0), (300, 0.5, 1.0)])
+def test_steinhaus_estimate_matches_strided_route(x, sigma, two_k):
+    # the fill folds n^-sigma into f(p) and sums in another order, so the
+    # strided route agrees to rounding, not bit for bit
+    seed, trials = 60493, 100
+    primes = primes_up_to(x)
+    u = np.array([trial_rng(seed, t).random(len(primes)) for t in range(trials)])
+    n = np.arange(1, x + 1, dtype=np.float64)
+    theta = _strided_phase_sieve(x, u, primes)
+    s = np.abs((np.exp(2j * np.pi * theta[:, 1:]) * n**-sigma).sum(axis=1))
+    est = estimate_abs_moment("steinhaus", x, sigma, two_k, trials=trials, seed=seed)
+    assert est.mean == pytest.approx(np.mean(s**two_k), rel=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=60, deadline=None)
 def test_rademacher_sum_parity_and_range(x, seed):
-    s = sample_rademacher_sum(x, np.random.default_rng(seed))
-    assert isinstance(s, int)
-    sf = sum(
-        1 for n in range(1, x + 1) if all(n % (p * p) for p in range(2, int(n**0.5) + 1))
-    )
-    assert abs(s) <= sf
-    assert (s - sf) % 2 == 0
+    eps = _signs(np.random.default_rng(seed), x)
+    f = _kernel_rows(eps, x, squarefree=True)[0]
+    sf = [n for n in range(x + 1) if _is_squarefree(n)]
+    assert np.all(f[np.setdiff1d(np.arange(x + 1), sf)] == 0)
+    assert np.all(np.abs(f[sf]) == 1)
+    s = int(f.sum())
+    assert abs(s) <= len(sf)
+    assert (s - len(sf)) % 2 == 0
+
+
+def test_rademacher_matches_strided_signs():
+    x = 2000
+    primes = primes_up_to(x)
+    eps = _signs(np.random.default_rng(12), x)
+    signs = np.ones(x + 1, dtype=np.int8)
+    for j, p in enumerate(primes):
+        signs[p :: int(p)] *= eps[0, j]
+    signs[[n for n in range(x + 1) if not _is_squarefree(n)]] = 0
+    assert np.array_equal(_kernel_rows(eps, x, squarefree=True)[0], signs)
 
 
 def test_rademacher_x4_support():
@@ -61,7 +120,7 @@ def test_rademacher_x4_support():
     # {-1, 1, 3}
     seen = set()
     for seed in range(40):
-        seen.add(sample_rademacher_sum(4, np.random.default_rng(seed)))
+        seen.add(int(_kernel_rows(_signs(np.random.default_rng(seed), 4), 4, True).sum()))
     assert seen <= {-1, 1, 3}
     assert len(seen) >= 2
 
@@ -90,6 +149,16 @@ def test_estimate_thread_invariant():
     assert a.mean == b.mean and a.stderr == b.stderr
 
 
+@pytest.mark.parametrize("model, sigma", [("steinhaus", 0.0), ("steinhaus", 0.3), ("rademacher", 0.0)])
+def test_estimate_thread_invariant_with_one_trial_final_chunk(model, sigma):
+    # 129 trials in chunks of 64 leave a final chunk one trial wide
+    ests = [
+        estimate_abs_moment(model, 3000, sigma, 2.0, trials=129, seed=3, threads=t)
+        for t in (1, 2, 4)
+    ]
+    assert all((e.mean, e.stderr) == (ests[0].mean, ests[0].stderr) for e in ests)
+
+
 def test_estimate_trials_match_standalone_draws():
     # trial t of a keyed run and a standalone draw from per-trial stream t
     # coincide bit for bit, so the estimate mean is exactly reproducible
@@ -97,8 +166,8 @@ def test_estimate_trials_match_standalone_draws():
     est = estimate_abs_moment("rademacher", x, 0.0, 2.0, trials=trials, seed=seed)
     vals = []
     for t in range(trials):
-        rng = np.random.default_rng(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, t]))
-        vals.append(float(sample_rademacher_sum(x, rng)) ** 2)
+        s = _kernel_rows(_signs(trial_rng(seed, t), x), x, squarefree=True).sum()
+        vals.append(float(s) ** 2)
     assert est.mean == np.mean(vals)
 
 
@@ -129,15 +198,3 @@ def test_helson_table_shape_and_fields():
         assert row["ratio_sqrt_x"] == pytest.approx(row["mean_abs"] / math.sqrt(row["x"]))
         assert 0.5 < row["ratio_sqrt_x"] < 1.1
 
-
-def test_helson_csv_roundtrip(tmp_path):
-    rows = helson_table([100], trials=120, seed=3)
-    path = os.fspath(tmp_path / "table.csv")
-    write_helson_csv(rows, path)
-    import csv
-
-    with open(path, newline="") as fh:
-        back = list(csv.DictReader(fh))
-    assert len(back) == 1
-    assert float(back[0]["x"]) == 100.0
-    assert float(back[0]["mean_abs"]) == pytest.approx(rows[0]["mean_abs"], rel=1e-15)
