@@ -4,9 +4,13 @@ Three families of identities are implemented:
 
 * Steinhaus: E|sum_{n<=x} X_n n^-sigma|^(2k) equals the weighted
   multiplicative energy sum_n n^(-2 sigma) r_k(n;x)^2, where r_k(n;x)
-  counts ordered k-tuples of integers <= x with product n.  The map
-  n -> r_k(n;x) is built by meet-in-the-middle convolution, so the cost
-  is O(x^k) instead of O(x^(2k)).
+  counts ordered k-tuples of integers <= x with product n.  The map is
+  built level by level from r_k(n) = sum_{c <= x, c | n} r_{k-1}(n/c),
+  scattered into consecutive windows of 2^20 products, so nothing is
+  sorted and the memory is the (k-1)-level map plus one window.  The
+  energy reduces the k-th level window by window without keeping it;
+  guards on memory and run time refuse a map before it is allocated.
+  The unweighted k = 2 energy takes the totient identity instead.
 
 * Rademacher: E(sum_{n<=x} Y_n)^(2k) is evaluated two independent ways,
   by full enumeration of sign assignments to the primes (a fast Walsh
@@ -46,11 +50,29 @@ __all__ = [
     "congruence_count",
 ]
 
-_MAP_ENTRY_GUARD = 2**33
+# one guard on memory for the totient tables and the multiplicity maps
+_MEMORY_GUARD = 2**30
 # the totient path holds about five int64 arrays of length x; its traced
 # peak is 40.6 MB at x = 10^6, sieve included.  1 GiB admits x up to ~2.7e7
 _TOTIENT_BYTES_PER_X = 40
-_TOTIENT_MEMORY_GUARD = 2**30
+# The multiplicity maps stream products through one int64 window of 2^20
+# cells.  A window with its nonzeros and, for sigma > 0, its float terms
+# and their fsum list take under 64 MiB (traced peak 59 MiB for the k = 2,
+# x = 10^4 weighted energy); a map entry is an int64 value and count,
+# held twice while the windows' pieces are joined.
+_WINDOW = 1 << 20
+_WINDOW_BYTES = 64 << 20
+_MAP_BYTES_PER_ENTRY = 32
+# A k-level scatter costs about x C(x+k-2, k-1) + x^k / 16 operations: the
+# scatter adds, bounded through the multiset count of the (k-1)-level
+# products, and the window cells, 16 of which cost about one add.
+# Measured at 8-11 ns an operation for k = 3..4, 27 for the k = 2 map and
+# 61 for the weighted k = 2 energy, whose fsum terms add to the cost
+# (Python 3.11, numpy 2.4, 2-vCPU KVM guest), so the guard is at most
+# about 120 s.  The largest verify, test or benchmark input,
+# steinhaus_energy(3, 300), is 1.5e7 operations.
+_SCATTER_CELLS_PER_OP = 16
+_SCATTER_OP_GUARD = 2 * 10**9
 # the weighted k=1 energy is a Python fsum over x terms, ~0.15 s per 10^6
 # terms on a 2-vCPU KVM guest with Python 3.11
 _FSUM_TERM_GUARD = 10**7
@@ -58,9 +80,10 @@ _FSUM_TERM_GUARD = 10**7
 # k-th power; 2^23 result bits take ~1.3 s (same host), and the cost grows
 # like bits^1.58 under CPython's Karatsuba multiplication
 _KRONECKER_BIT_GUARD = 2**23
-# the congruence count does (k-1) q^2 Python-int operations on object
-# arrays, 45-60 ns each on the same host: (2, 9973, 9973) is 9.95e7 of them
-# and takes 4.5-6.4 s, so every k = 2 modulus under the q <= 10^4 guard fits
+# the congruence count does (k-1) q^2 array operations, 13-21 ns each in
+# int64 (x^k < 2^63) and 110-140 ns on the object arrays past that (same
+# host): (2, 9973, 9973) is 9.95e7 of them and takes 1.3 s, so every k = 2
+# modulus under the q <= 10^4 guard fits
 _CONGRUENCE_OP_GUARD = 10**8
 
 
@@ -95,44 +118,76 @@ class MultiplicityMap:
         return int(self.counts.sum())
 
 
-def _group_sum(vals: np.ndarray, cnts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(vals, kind="stable")
-    v = vals[order]
-    c = cnts[order]
-    starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
-    return v[starts], np.add.reduceat(c, starts)
+def _check_map_guards(k: int, x: int, output: bool) -> None:
+    """Refuse a k-level scatter before allocating anything.
+
+    The distinct products of j factors <= x number at most C(x + j - 1, j),
+    the count of multisets.  That bounds the (k-1)-level map held while
+    the k-th level streams, the k-level map kept when ``output`` is set,
+    and the scatter adds x |V_{k-1}|.  The earlier levels are smaller, so
+    with ``output`` the bound also covers their build; without it the
+    caller builds the (k-1)-level map with ``product_multiplicity_map``,
+    which checks its own.
+    """
+    entries = math.comb(x + k - 2, k - 1) + (math.comb(x + k - 1, k) if output else 0)
+    need = _MAP_BYTES_PER_ENTRY * entries + _WINDOW_BYTES
+    if need > _MEMORY_GUARD:
+        raise ResourceLimitError(
+            f"multiplicity map at k = {k}, x = {x} needs up to {need >> 20} MiB, past the "
+            f"{_MEMORY_GUARD >> 20} MiB guard on memory"
+        )
+    ops = x * math.comb(x + k - 2, k - 1) + x**k // _SCATTER_CELLS_PER_OP
+    if ops > _SCATTER_OP_GUARD:
+        raise ResourceLimitError(
+            f"multiplicity map at k = {k}, x = {x} takes x C(x+k-2, k-1) + x^k/"
+            f"{_SCATTER_CELLS_PER_OP} = {ops:.3g} scatter operations, past the "
+            f"{_SCATTER_OP_GUARD:.0e} guard on run time"
+        )
+
+
+def _scatter_windows(values: np.ndarray, counts: np.ndarray, x: int):
+    """Stream the next level of a multiplicity map, one window of products at a time.
+
+    ``values`` (ascending) and ``counts`` hold r(v) for one level.  This
+    yields ``(lo, buf)`` with buf[n - lo] = sum_{c <= x, c | n} r(n / c)
+    for n in [lo, lo + len(buf)), window after window.  ``buf`` is reused:
+    read it before asking for the next window.  For each c the v with c v
+    in the window are one slice of ``values``, found for all c by two
+    searchsorted calls, so no product outside the window is formed.
+    """
+    mult = np.arange(1, x + 1, dtype=np.int64)
+    top = x * int(values[-1])
+    buf = np.zeros(min(_WINDOW, top + 1), dtype=np.int64)
+    for lo in range(0, top + 1, len(buf)):
+        hi = lo + len(buf)
+        starts = np.searchsorted(values, (lo + mult - 1) // mult).tolist()
+        ends = np.searchsorted(values, (hi + mult - 1) // mult).tolist()
+        for c, a, b in zip(range(1, x + 1), starts, ends):
+            if a < b:
+                np.add.at(buf, c * values[a:b] - lo, counts[a:b])
+        yield lo, buf
+        buf.fill(0)
+
+
+def _window_entries(lo: int, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    nz = (buf != 0).nonzero()[0]
+    return nz + lo, buf[nz]
 
 
 def product_multiplicity_map(k: int, x: int) -> MultiplicityMap:
-    """Build the product-multiplicity map by repeated convolution with [1..x]."""
+    """Build the product-multiplicity map level by level by windowed divisor scatter."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     if x < 1:
         raise ValueError("x must be a positive integer")
     x = int(x)
-    if x**k > _MAP_ENTRY_GUARD:
-        raise ResourceLimitError(
-            f"multiplicity map for x^k = {x**k} exceeds the {_MAP_ENTRY_GUARD} entry guard"
-        )
+    _check_map_guards(k, x, output=True)
     vals = np.arange(1, x + 1, dtype=np.int64)
     cnts = np.ones(x, dtype=np.int64)
-    mult = np.arange(1, x + 1, dtype=np.int64)
     for _ in range(k - 1):
-        block = max(1, int(8_000_000 // max(1, len(vals))))
-        pieces_v: list[np.ndarray] = []
-        pieces_c: list[np.ndarray] = []
-        pending = 0
-        for lo in range(0, x, block):
-            m = mult[lo : lo + block]
-            pv = (vals[:, None] * m[None, :]).ravel()
-            pc = np.broadcast_to(cnts[:, None], (len(cnts), len(m))).ravel()
-            pieces_v.append(pv)
-            pieces_c.append(pc.copy())
-            pending += len(pv)
-            if pending > 24_000_000:
-                gv, gc = _group_sum(np.concatenate(pieces_v), np.concatenate(pieces_c))
-                pieces_v, pieces_c, pending = [gv], [gc], len(gv)
-        vals, cnts = _group_sum(np.concatenate(pieces_v), np.concatenate(pieces_c))
+        pieces = [_window_entries(lo, buf) for lo, buf in _scatter_windows(vals, cnts, x)]
+        vals = np.concatenate([v for v, _ in pieces])
+        cnts = np.concatenate([c for _, c in pieces])
     return MultiplicityMap(k=k, x=x, values=vals, counts=cnts)
 
 
@@ -162,10 +217,10 @@ def _energy_k2_sigma0(x: int) -> int:
     # Pairs ab = cd <= x^2 parametrized by g = gcd(a, c): the count is
     # sum_{m<=x} (2*phi(m) - [m=1]) * floor(x/m)^2, evaluated exactly.
     need = _TOTIENT_BYTES_PER_X * x
-    if need > _TOTIENT_MEMORY_GUARD:
+    if need > _MEMORY_GUARD:
         raise ResourceLimitError(
             f"k=2 totient path at x = {x} needs ~{need >> 20} MiB of int64 tables, past the "
-            f"{_TOTIENT_MEMORY_GUARD >> 20} MiB guard on memory"
+            f"{_MEMORY_GUARD >> 20} MiB guard on memory"
         )
     phi = _totient_table(x)
     m = np.arange(1, x + 1, dtype=np.int64)
@@ -219,14 +274,24 @@ def steinhaus_energy(k: int, x: float, sigma: float = 0.0) -> EnergyResult:
     if k == 2 and sigma == 0.0:
         return EnergyResult(k, xf, sigma, _energy_k2_sigma0(xf), space)
 
-    mm = product_multiplicity_map(k, xf)
+    _check_map_guards(k, xf, output=False)
+    below = product_multiplicity_map(k - 1, xf)
+    windows = _scatter_windows(below.values, below.counts, xf)
     if sigma == 0.0:
-        return EnergyResult(k, xf, sigma, _sum_of_squares_exact(mm.counts), space)
+        total = sum(_sum_of_squares_exact(buf) for _, buf in windows)
+        return EnergyResult(k, xf, sigma, total, space)
+    # fsum over consecutive chunks of 2^20 distinct products, not over
+    # windows, so the float does not depend on the window width
     chunks = []
-    for lo in range(0, len(mm.values), 1 << 20):
-        v = mm.values[lo : lo + (1 << 20)].astype(np.float64)
-        c = mm.counts[lo : lo + (1 << 20)].astype(np.float64)
-        chunks.append(math.fsum((v ** (-2.0 * sigma) * c * c).tolist()))
+    pending = np.empty(0)
+    for lo, buf in windows:
+        v, c = _window_entries(lo, buf)
+        c = c.astype(np.float64)
+        pending = np.concatenate((pending, v.astype(np.float64) ** (-2.0 * sigma) * c * c))
+        while len(pending) >= 1 << 20:
+            chunks.append(math.fsum(pending[: 1 << 20].tolist()))
+            pending = pending[1 << 20 :]
+    chunks.append(math.fsum(pending.tolist()))
     return EnergyResult(k, xf, sigma, math.fsum(chunks), space)
 
 
@@ -398,20 +463,23 @@ def congruence_count(k: int, q: int, x: int) -> int:
     ops = (k - 1) * q * q
     if ops > _CONGRUENCE_OP_GUARD:
         raise ResourceLimitError(
-            f"congruence count at k = {k}, q = {q} takes (k-1) q^2 = {ops} object operations, "
+            f"congruence count at k = {k}, q = {q} takes (k-1) q^2 = {ops} array operations, "
             f"past the {_CONGRUENCE_OP_GUARD} guard on run time"
         )
+    # a j-level entry counts j-tuples, so every entry and partial sum is at
+    # most x^k; object arrays only where that passes int64
+    dtype = np.int64 if x**k < 2**63 else object
     full, rest = divmod(x, q)
-    counts = np.array([0] + [full + (r <= rest) for r in range(1, q)], dtype=object)
+    counts = np.array([0] + [full + (r <= rest) for r in range(1, q)], dtype=dtype)
+    residues = np.arange(q)
     level = counts
     for _ in range(k - 1):
-        nxt = np.zeros(q, dtype=object)
-        for t in range(1, q):
-            if level[t]:
-                prod = (t * np.arange(q)) % q
-                nxt[prod] += level[t] * counts
+        nxt = np.zeros(q, dtype=dtype)
+        for t, lt in enumerate(level.tolist()):
+            if lt:
+                nxt[t * residues % q] += lt * counts
         level = nxt
-    return int(sum(int(c) * int(c) for c in level[1:]))
+    return sum(c * c for c in level[1:].tolist())
 
 
 def _cyclic_power_square_sum(h: list[int], k: int) -> int:

@@ -145,6 +145,8 @@ def test_resource_refusal_exit_3(capsys):
     capsys.readouterr()
     assert main(["count", "--model", "steinhaus", "--k", "1", "--x", "1e9", "--sigma", "0.25"]) == 3
     capsys.readouterr()
+    assert main(["count", "--model", "steinhaus", "--k", "3", "--x", "1e4"]) == 3
+    assert "guard on memory" in capsys.readouterr().err
     # refused before the samples array is allocated
     assert main(["rmt", "--mode", "mc", "--k", "2", "--L", "3", "--z", "1.5",
                  "--samples", "2000000000"]) == 3

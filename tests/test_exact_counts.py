@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,49 @@ def brute_energy(k, x, sigma=0.0):
 
 
 # --- multiplicity map --------------------------------------------------------
+
+
+def _group_sum(vals, cnts):
+    order = np.argsort(vals, kind="stable")
+    v = vals[order]
+    c = cnts[order]
+    starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
+    return v[starts], np.add.reduceat(c, starts)
+
+
+def argsort_map(k, x):
+    """The sort-based map: multiply out every product, argsort and group."""
+    vals = np.arange(1, x + 1, dtype=np.int64)
+    cnts = np.ones(x, dtype=np.int64)
+    mult = np.arange(1, x + 1, dtype=np.int64)
+    for _ in range(k - 1):
+        block = max(1, int(8_000_000 // max(1, len(vals))))
+        pieces_v = []
+        pieces_c = []
+        pending = 0
+        for lo in range(0, x, block):
+            m = mult[lo : lo + block]
+            pv = (vals[:, None] * m[None, :]).ravel()
+            pc = np.broadcast_to(cnts[:, None], (len(cnts), len(m))).ravel()
+            pieces_v.append(pv)
+            pieces_c.append(pc.copy())
+            pending += len(pv)
+            if pending > 24_000_000:
+                gv, gc = _group_sum(np.concatenate(pieces_v), np.concatenate(pieces_c))
+                pieces_v, pieces_c, pending = [gv], [gc], len(gv)
+        vals, cnts = _group_sum(np.concatenate(pieces_v), np.concatenate(pieces_c))
+    return vals, cnts
+
+
+@pytest.mark.parametrize("k, x", [(2, 1025), (3, 102), (4, 33), (3, 300)])
+def test_map_equals_argsort_route(k, x):
+    # products up to x^k span several 2^20-wide scatter windows here, so
+    # slices cross window edges
+    mm = product_multiplicity_map(k, x)
+    vals, cnts = argsort_map(k, x)
+    assert mm.values.dtype == vals.dtype and mm.counts.dtype == cnts.dtype
+    assert np.array_equal(mm.values, vals)
+    assert np.array_equal(mm.counts, cnts)
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=12))
@@ -75,6 +119,25 @@ def test_energy_weighted_matches_brute_force():
     assert got == pytest.approx(brute_energy(2, 5, 0.25), rel=1e-12)
 
 
+def test_energy_weighted_bit_identical():
+    # fsum over the same 2^20-product chunks as the sort-based map, so the
+    # float is pinned to the last bit
+    assert steinhaus_energy(2, 2000, 0.25).value == 90433.95591424954
+
+
+def test_energy_k3_streams_in_bounded_memory():
+    # the k = 3 energy holds the 2-level map and one window, never the
+    # 3-level map (the sort-based route peaked at 464 MiB here)
+    tracemalloc.start()
+    try:
+        value = steinhaus_energy(3, 300).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 3447094320
+    assert peak < 32 << 20
+
+
 def test_energy_monotone_in_x():
     prev = 0
     for x in range(1, 30):
@@ -105,6 +168,7 @@ def test_energy_floor_semantics():
     [
         (2, 10**8, 0.0),  # totient path: ~4 GB of int64 tables
         (1, 10**9, 0.25),  # weighted k = 1 path: a 10^9-term Python fsum
+        (3, 10**4, 0.0),  # scatter path: a 2-level map of up to 5e7 entries
     ],
 )
 def test_energy_guards_refuse_before_allocating(k, x, sigma):
@@ -220,12 +284,14 @@ def test_char_average_power_guard():
 
 
 def test_congruence_count_past_old_integer_range():
-    # x^k = 8e18 here; the count is exact in Python ints and costs O(k q^2)
-    assert congruence_count(3, 11, 2_000_000) == char_moment_average(3, 11, 2_000_000).avg_all
+    # x^k = 8e18 < 2^63 runs in int64; 9.26e18 passes 2^63 and falls back
+    # to object arrays.  Both costs are O(k q^2) whatever x is.
+    for x in (2_000_000, 2_100_000):
+        assert congruence_count(3, 11, x) == char_moment_average(3, 11, x).avg_all
 
 
 def test_congruence_count_run_time_guard():
-    # (k-1) q^2 = 1.99e8 object operations, ~10 s, refused before the loop
+    # (k-1) q^2 = 1.99e8 array operations, past the guard, refused before the loop
     with pytest.raises(ResourceLimitError, match="guard on run time"):
         congruence_count(3, 9973, 100)
 
