@@ -158,35 +158,16 @@ def _zeta(s: float) -> float:
     return acc
 
 
-def _mobius_upto(limit: int) -> list[int]:
-    mu = [1] * (limit + 1)
-    primes = []
-    is_comp = [False] * (limit + 1)
-    for i in range(2, limit + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > limit:
-                break
-            is_comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
-
-
 @lru_cache(maxsize=None)
 def _prime_zeta(s: float) -> float:
     """sum_p p^-s via Moebius inversion of log zeta; absolute error < 1e-13."""
     n_max = max(2, math.ceil(75.0 / s))
-    mu = _mobius_upto(n_max)
     acc = 0.0
     for n in range(1, n_max + 1):
-        if mu[n] == 0:
+        factors = factorize_small(n)
+        if any(e > 1 for _, e in factors):
             continue
-        acc += mu[n] / n * math.log(_zeta(n * s))
+        acc += (-1) ** len(factors) / n * math.log(_zeta(n * s))
     return acc
 
 

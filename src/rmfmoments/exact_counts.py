@@ -50,7 +50,7 @@ __all__ = [
     "congruence_count",
 ]
 
-# one guard on memory for the totient tables and the multiplicity maps
+# one guard on memory: totient tables, multiplicity maps, capped-degree DP
 _MEMORY_GUARD = 2**30
 # the totient path holds about five int64 arrays of length x; its traced
 # peak is 40.6 MB at x = 10^6, sieve included.  1 GiB admits x up to ~2.7e7

@@ -16,8 +16,10 @@ edge weights:
 
 Volumes are normalized as leading coefficients of Ehrhart polynomials,
 interpolated exactly over rationals from dilation counts, then validated
-at out-of-sample dilations.  The margin families are counted by memoized
-recursion over row compositions; ``gamma_sym`` by one int64 table of
+at out-of-sample dilations.  ``birkhoff`` is counted by memoized
+recursion over row compositions with exact margins; ``alpha_box`` and
+``beta_mixed`` by the capped-degree edge DP on K_{k,k} and K_{k-1,k}
+that also gives the ``rmt`` moments; ``gamma_sym`` by one int64 table of
 degree-vector counts on K_{2k-1}, built by adding vertices one at a time,
 from which every dilation's count is a slice sum.
 Floating interpolation is hopeless at degree 9 and up; everything here
@@ -27,14 +29,17 @@ is integer and Fraction arithmetic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .estimates import MomentEstimate, trial_rng
+from .exact_counts import _MEMORY_GUARD
 
 __all__ = [
     "PolytopeSpec",
@@ -98,7 +103,7 @@ def gamma_sym(k: int) -> PolytopeSpec:
 
 
 # ---------------------------------------------------------------------------
-# composition enumeration and margin DPs
+# exact margins: composition enumeration
 
 
 def _compositions(total: int, caps: tuple[int, ...]):
@@ -149,29 +154,86 @@ def count_margin_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
     return total
 
 
-@cache
-def _count_rows_capped(nrows: int, rowsum: int, caps: tuple[int, ...]) -> int:
-    """Matrices with ``nrows`` rows each summing to ``rowsum``, col sums <= caps."""
-    if nrows == 0:
-        return 1
-    total = 0
-    for comp in _compositions(rowsum, caps):
-        reduced = tuple(sorted((c - v for c, v in zip(caps, comp)), reverse=True))
-        total += _count_rows_capped(nrows - 1, rowsum, reduced)
-    return total
+# ---------------------------------------------------------------------------
+# the capped-degree edge DP
 
 
-@cache
-def _count_rows_atmost(nrows: int, rowcap: int, caps: tuple[int, ...]) -> int:
-    """Matrices with ``nrows`` rows each summing to at most ``rowcap``, col sums <= caps."""
-    if nrows == 0:
-        return 1
-    total = 0
-    for u in range(rowcap + 1):
-        for comp in _compositions(u, caps):
-            reduced = tuple(sorted((c - v for c, v in zip(caps, comp)), reverse=True))
-            total += _count_rows_atmost(nrows - 1, rowcap, reduced)
-    return total
+def _bipartite_edges(rows: int, cols: int) -> list[tuple[int, int]]:
+    # K_{rows,cols} column by column, so only one column axis is open at a time
+    return [(row, rows + col) for col in range(cols) for row in range(rows)]
+
+
+def _complete_edges(m: int) -> list[tuple[int, int]]:
+    return list(combinations(range(m), 2))
+
+
+def _check_dp_guards(n: int, edges: list[tuple[int, int]], L: int, w) -> None:
+    """Refuse a capped-degree DP before it allocates.
+
+    The peak state holds (L+1)^(most vertices open at once) cells of 8
+    bytes, times n L/2 + 1 when the powers of w are carried.  Integer
+    counts stay below prod_v C(L + a_v, a_v) |w|^(n L/2): give each edge
+    to its first endpoint v, and the a_v edges of v carry at most L.
+    """
+    first = {v: e for e, edge in reversed(list(enumerate(edges))) for v in edge}
+    last = {v: e for e, edge in enumerate(edges) for v in edge}
+    peak = max((sum(first[v] <= e <= last[v] for v in last) for e in range(len(edges))), default=0)
+    cells = (n * L // 2 + 1 if w is None else 1) * (L + 1) ** peak
+    if 8 * cells > _MEMORY_GUARD:
+        raise ResourceLimitError(
+            f"capped-degree DP on {n} vertices at L = {L} needs a state of {cells} cells "
+            f"({8 * cells >> 20} MiB), past the {_MEMORY_GUARD >> 20} MiB guard on memory"
+        )
+    if w is None or isinstance(w, int):
+        bound = math.prod(math.comb(L + a, a) for a in Counter(i for i, _ in edges).values())
+        bound *= abs(w or 1) ** (n * L // 2)
+        if bound >= 2**63:
+            raise ResourceLimitError(
+                f"capped-degree DP on {n} vertices at L = {L}: counts may reach "
+                f"2^{math.log2(bound):.1f}, past the 2^63 int64 range"
+            )
+
+
+def _capped_degree_dp(
+    n: int, edges: list[tuple[int, int]], L: int, w: float | None = None
+) -> tuple[int, ...] | float:
+    """Sum of w^(total weight) over edge weightings with every vertex degree <= L.
+
+    The state has one residual-capacity axis per open vertex: it opens at
+    the vertex's first edge with capacity L and is summed out after its
+    last edge.  Weight c on edge (i, j) moves mass from (r_i, r_j) to
+    (r_i - c, r_j - c), so one edge step is the in-place diagonal prefix
+    sum A[r_i, r_j] += w A[r_i + 1, r_j + 1], taken downward in r_i.  With
+    w None a leading axis holds the exact coefficient of each power of w,
+    each step also shifts it by one, and the coefficients come back as a
+    tuple; otherwise the total comes back, an exact int for an integer w
+    (w = 1 counts the weightings) and a float for a float w.
+    """
+    _check_dp_guards(n, edges, L, w)
+    last = {v: e for e, edge in enumerate(edges) for v in edge}
+    lead = int(w is None)  # 1 when axis 0 holds the exact coefficients
+    A = np.zeros((n * L // 2 + 1,) * lead, dtype=np.float64 if isinstance(w, float) else np.int64)
+    A[(0,) * lead] = 1
+    open_axes: list[int] = []
+    for e, edge in enumerate(edges):
+        for v in edge:
+            if v not in open_axes:
+                A = np.pad(A[..., None], [(0, 0)] * A.ndim + [(L, 0)])
+                open_axes.append(v)
+        ai, aj = (lead + open_axes.index(v) for v in edge)
+        for r in range(L - 1, -1, -1):
+            dst = [slice(None)] * A.ndim
+            src = [slice(None)] * A.ndim
+            dst[ai], src[ai] = r, r + 1
+            dst[aj], src[aj] = slice(0, L), slice(1, L + 1)
+            if lead:
+                dst[0], src[0] = slice(1, None), slice(0, -1)
+            A[tuple(dst)] += A[tuple(src)] if lead else w * A[tuple(src)]
+        for v in edge:
+            if last[v] == e:
+                A = A.sum(axis=lead + open_axes.index(v))
+                open_axes.remove(v)
+    return tuple(A.tolist()) if lead else A.item()
 
 
 # The degree table for gamma_sym holds one int64 per degree vector of
@@ -245,9 +307,10 @@ def lattice_count(spec: PolytopeSpec, t: int) -> int:
     if spec.family == "birkhoff":
         return count_margin_matrices((t,) * k, (t,) * k)
     if spec.family == "beta_mixed":
-        return _count_rows_capped(k - 1, t, (t,) * k)
+        # every row sum is at most t and the total is (k-1) t, so each is t
+        return _capped_degree_dp(2 * k - 1, _bipartite_edges(k - 1, k), t)[(k - 1) * t]
     if spec.family == "alpha_box":
-        return _count_rows_atmost(k, t, (t,) * k)
+        return _capped_degree_dp(2 * k, _bipartite_edges(k, k), t, 1)
     # gamma_sym: degrees 2t on K_{2k}; one table serves the whole
     # Ehrhart range, dilations past it get a table of their own
     return _gamma_counts(k, max(t, spec.dimension + 3))[t]
@@ -302,6 +365,7 @@ def _newton_interpolate(values: list[int]) -> RationalPolynomial:
     return RationalPolynomial(tuple(coeffs))
 
 
+@cache
 def ehrhart_polynomial(spec: PolytopeSpec) -> RationalPolynomial:
     """Interpolate the dilation-count polynomial and validate it out of sample.
 
@@ -323,15 +387,10 @@ def ehrhart_polynomial(spec: PolytopeSpec) -> RationalPolynomial:
     return poly
 
 
-@cache
-def _ehrhart_cached(spec: PolytopeSpec) -> RationalPolynomial:
-    return ehrhart_polynomial(spec)
-
-
 def relative_volume(spec: PolytopeSpec) -> Fraction:
     """Leading Ehrhart coefficient: the volume in the affine span, measured
     against the induced lattice."""
-    lc = _ehrhart_cached(spec).leading_coefficient
+    lc = ehrhart_polynomial(spec).leading_coefficient
     if lc <= 0:
         raise RuntimeError(f"nonpositive volume for {spec.family}(k={spec.k})")
     return lc
@@ -346,15 +405,15 @@ def beta_constant(k: int) -> Fraction:
 
     The equal-margin route and the capped-column route count the same
     matrices (append the column-slack row to a capped matrix and its row
-    sum is forced), but the two DPs share no code path: one recurses on
-    exact margins, the other on residual caps.  Equality of the full
-    Ehrhart polynomials is therefore a strong implementation check, and
-    it pins the volume normalization used everywhere else.
+    sum is forced), but the two share no code: one recurses on exact
+    margins, the other is the edge DP behind every unitary moment.
+    Equality of the full Ehrhart polynomials is therefore a strong check
+    of both, and it pins the volume normalization used everywhere else.
     """
     if not 1 <= k <= 4:
         raise ValueError("beta_constant supports k in 1..4")
-    pa = _ehrhart_cached(birkhoff(k))
-    pb = _ehrhart_cached(beta_mixed(k))
+    pa = ehrhart_polynomial(birkhoff(k))
+    pb = ehrhart_polynomial(beta_mixed(k))
     if pa.coefficients != pb.coefficients:
         raise RuntimeError(
             f"beta route disagreement at k={k}: {pa.coefficients} vs {pb.coefficients}"

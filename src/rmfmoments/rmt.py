@@ -30,14 +30,19 @@ from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 import numpy as np
 
 from .analytic import hyper_2F1_series
 from .errors import ResourceLimitError
 from .estimates import MomentEstimate, resolve_threads, trial_rngs
-from .polytopes import beta_constant, gamma_constant
+from .polytopes import (
+    _bipartite_edges,
+    _capped_degree_dp,
+    _complete_edges,
+    beta_constant,
+    gamma_constant,
+)
 
 __all__ = [
     "TruncatedMomentQuery",
@@ -54,10 +59,12 @@ __all__ = [
     "so_asymptotic_rhs",
 ]
 
-_UNITARY_L_CAP = {1: 200, 2: 40, 3: 40, 4: 12}
-_UNITARY_EXACT_CAP = {1: 200, 2: 40, 3: 20, 4: 12}
-_SO_L_CAP = {1: 200, 2: 24, 3: 8}
-_SO_EXACT_CAP = {1: 200, 2: 20, 3: 8}
+# group -> k -> (largest L, largest L with exact integer coefficients);
+# past the second, the float-weight DP runs
+_CAPS = {
+    "unitary": {1: (200, 200), 2: (40, 40), 3: (40, 20), 4: (12, 12)},
+    "special_orthogonal": {1: (200, 200), 2: (24, 20), 3: (8, 8)},
+}
 # Haar draws are taken in stacks of at most this many matrix entries:
 # 1024 draws at N = 8, 16 at N = 64
 _BLOCK_ENTRIES = 1 << 16
@@ -92,101 +99,57 @@ class TruncatedMomentQuery:
 
 def _check_query(group: str, k: int, L: int, z_abs: float) -> TruncatedMomentQuery:
     q = TruncatedMomentQuery(group=group, k=k, L=L, z_abs=float(z_abs))
-    caps = _UNITARY_L_CAP if group == "unitary" else _SO_L_CAP
+    caps = _CAPS[group]
     if k not in caps:
         raise ResourceLimitError(f"{group} moment guard: k={k} unsupported")
-    if L > caps[k]:
-        raise ResourceLimitError(f"{group} moment guard: k={k} allows L <= {caps[k]}")
+    if L > caps[k][0]:
+        raise ResourceLimitError(f"{group} moment guard: k={k} allows L <= {caps[k][0]}")
     return q
 
 
 # ---------------------------------------------------------------------------
-# exact lattice DPs
+# exact lattice sums
 
 
-def _capped_degree_dp(
-    n: int, edges: list[tuple[int, int]], L: int, w: float | None = None
-) -> tuple[int, ...] | float:
-    """Sum of w^(total weight) over edge weightings with every vertex degree <= L.
-
-    The state has one residual-capacity axis per open vertex: it opens at
-    the vertex's first edge with capacity L and is summed out after its
-    last edge.  Weight c on edge (i, j) moves mass from (r_i, r_j) to
-    (r_i - c, r_j - c), so one edge step is the in-place diagonal prefix
-    sum A[r_i, r_j] += w A[r_i + 1, r_j + 1], taken downward in r_i.  With
-    w None a leading axis holds the exact coefficient of each power of w,
-    each step also shifts it by one, and the coefficients come back as a
-    tuple; otherwise the float total comes back.
-    """
-    last = {v: e for e, edge in enumerate(edges) for v in edge}
-    lead = int(w is None)  # 1 when axis 0 holds the exact coefficients
-    A = np.zeros(n * L // 2 + 1, dtype=np.int64) if lead else np.ones(())
-    A[(0,) * lead] = 1
-    open_axes: list[int] = []
-    for e, edge in enumerate(edges):
-        for v in edge:
-            if v not in open_axes:
-                A = np.pad(A[..., None], [(0, 0)] * A.ndim + [(L, 0)])
-                open_axes.append(v)
-        ai, aj = (lead + open_axes.index(v) for v in edge)
-        for r in range(L - 1, -1, -1):
-            dst = [slice(None)] * A.ndim
-            src = [slice(None)] * A.ndim
-            dst[ai], src[ai] = r, r + 1
-            dst[aj], src[aj] = slice(0, L), slice(1, L + 1)
-            if lead:
-                dst[0], src[0] = slice(1, None), slice(0, -1)
-                A[tuple(dst)] += A[tuple(src)]
-            else:
-                A[tuple(dst)] += w * A[tuple(src)]
-        for v in edge:
-            if last[v] == e:
-                A = A.sum(axis=lead + open_axes.index(v))
-                open_axes.remove(v)
-    return tuple(int(c) for c in A) if lead else float(A)
+def _group_edges(group: str, k: int) -> list[tuple[int, int]]:
+    # unitary: the k x k matrix as K_{k,k}; SO(2N): the complete graph K_{2k}
+    return _bipartite_edges(k, k) if group == "unitary" else _complete_edges(2 * k)
 
 
-def _unitary_edges(k: int) -> list[tuple[int, int]]:
-    # K_{k,k} column by column, so only one column axis is open at a time
-    return [(row, k + col) for col in range(k) for row in range(k)]
+def _coefficients(group: str, k: int, L: int) -> tuple[int, ...]:
+    _check_query(group, k, L, 2.0)
+    cap = _CAPS[group][k][1]
+    if L > cap:
+        raise ResourceLimitError(f"exact coefficient guard: k={k} allows L <= {cap}")
+    return _capped_degree_dp(2 * k, _group_edges(group, k), L)
 
 
-def _so_edges(k: int) -> list[tuple[int, int]]:
-    return list(combinations(range(2 * k), 2))
+def _moment_exact(group: str, k: int, L: int, z_abs: float) -> float:
+    q = _check_query(group, k, L, z_abs)
+    w = q.z_abs * q.z_abs
+    if L <= _CAPS[group][k][1]:
+        cached = unitary_truncated_coefficients if group == "unitary" else so_truncated_coefficients
+        return math.fsum(c * w**s for s, c in enumerate(cached(k, L)))
+    return _capped_degree_dp(2 * k, _group_edges(group, k), L, w)
 
 
 @cache
 def unitary_truncated_coefficients(k: int, L: int) -> tuple[int, ...]:
     """coeffs[s] = # of k x k nonnegative integer matrices with every row
     and column sum <= L and total entry sum s (s = 0..kL)."""
-    _check_query("unitary", k, L, 2.0)
-    if L > _UNITARY_EXACT_CAP[k]:
-        raise ResourceLimitError(
-            f"exact coefficient guard: k={k} allows L <= {_UNITARY_EXACT_CAP[k]}"
-        )
-    return _capped_degree_dp(2 * k, _unitary_edges(k), L)
+    return _coefficients("unitary", k, L)
 
 
 def unitary_truncated_moment_exact(k: int, L: int, z_abs: float) -> float:
     """E over Haar U(N), N >= kL, of |Lambda_L(z)|^(2k), via the lattice sum."""
-    q = _check_query("unitary", k, L, z_abs)
-    w = q.z_abs * q.z_abs
-    if L <= _UNITARY_EXACT_CAP[k]:
-        coeffs = unitary_truncated_coefficients(k, L)
-        return math.fsum(c * w**s for s, c in enumerate(coeffs))
-    return _capped_degree_dp(2 * k, _unitary_edges(k), L, w)
+    return _moment_exact("unitary", k, L, z_abs)
 
 
 @cache
 def so_truncated_coefficients(k: int, L: int) -> tuple[int, ...]:
     """coeffs[s] = # of edge weightings of K_{2k} with all vertex degrees <= L
     and total edge weight s (s = 0..kL)."""
-    _check_query("special_orthogonal", k, L, 2.0)
-    if L > _SO_EXACT_CAP[k]:
-        raise ResourceLimitError(
-            f"exact coefficient guard: k={k} allows L <= {_SO_EXACT_CAP[k]}"
-        )
-    return _capped_degree_dp(2 * k, _so_edges(k), L)
+    return _coefficients("special_orthogonal", k, L)
 
 
 def so_truncated_moment_exact(k: int, L: int, z_abs: float) -> float:
@@ -197,12 +160,7 @@ def so_truncated_moment_exact(k: int, L: int, z_abs: float) -> float:
     truncations; callers comparing against asymptotics should stay at
     L >= 2.
     """
-    q = _check_query("special_orthogonal", k, L, z_abs)
-    w = q.z_abs * q.z_abs
-    if L <= _SO_EXACT_CAP[k]:
-        coeffs = so_truncated_coefficients(k, L)
-        return math.fsum(c * w**s for s, c in enumerate(coeffs))
-    return _capped_degree_dp(2 * k, _so_edges(k), L, w)
+    return _moment_exact("special_orthogonal", k, L, z_abs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -80,6 +81,60 @@ def test_beta_routes_share_polynomial():
 def test_alpha_values():
     assert alpha_constant(1) == F(1)
     assert alpha_constant(2) == F(1, 6)
+
+
+def test_alpha_k3_k4_pinned():
+    # Conrey-Gamburd pseudomagic-square volumes; alpha(4) is the degree-16
+    # Ehrhart polynomial of K_{4,4} weightings with degrees <= t, t <= 19
+    assert alpha_constant(3) == F(107, 60480)
+    assert alpha_constant(4) == F(29003, 50295168000)
+
+
+def brute_capped_count(nrows, ncols, t, exact_rows):
+    """nrows x ncols matrices over 0..t with column sums <= t and row sums
+    <= t, or == t when ``exact_rows``."""
+    count = 0
+    for entries in product(range(t + 1), repeat=nrows * ncols):
+        rows = [entries[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+        row_sums = [sum(r) for r in rows]
+        if exact_rows and any(s != t for s in row_sums):
+            continue
+        if max(row_sums, default=0) > t:
+            continue
+        if all(sum(r[j] for r in rows) <= t for j in range(ncols)):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "spec,nrows,ncols,exact_rows,t_max",
+    [
+        (alpha_box(2), 2, 2, False, 4),
+        (alpha_box(3), 3, 3, False, 2),
+        (beta_mixed(3), 2, 3, True, 2),
+    ],
+)
+def test_capped_counts_against_enumeration(spec, nrows, ncols, exact_rows, t_max):
+    for t in range(t_max + 1):
+        assert lattice_count(spec, t) == brute_capped_count(nrows, ncols, t, exact_rows)
+
+
+@pytest.mark.parametrize(
+    "t,limit",
+    [
+        (40, "guard on memory"),  # 41^6 cells of 8 bytes, 36 GiB
+        (13, "int64 range"),  # C(18, 5)^5 ~ 2^65.3 weightings
+    ],
+)
+def test_capped_dp_refused_before_allocating(t, limit):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=limit):
+            lattice_count(alpha_box(5), t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_gamma_k2():

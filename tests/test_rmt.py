@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from rmfmoments.errors import ResourceLimitError
 from rmfmoments.estimates import trial_rng, trial_rngs
-from rmfmoments.polytopes import count_margin_matrices
+from rmfmoments.polytopes import (
+    _bipartite_edges,
+    _capped_degree_dp,
+    _complete_edges,
+    count_margin_matrices,
+)
 from rmfmoments.rmt import (
     I1_two_ways,
     haar_unitary_secular,
@@ -23,12 +28,9 @@ from rmfmoments.rmt import (
     unitary_truncated_moment_exact,
 )
 from rmfmoments.rmt import (
-    _capped_degree_dp,
     _haar_unitaries,
     _secular_blocks,
     _secular_head,
-    _so_edges,
-    _unitary_edges,
 )
 
 SQRT_E = math.exp(0.5)
@@ -102,7 +104,7 @@ def test_unitary_k3_coefficients_closed_forms():
 def test_so_k3_coefficients_against_zero_one_walk():
     # at L = 1 every edge weight of K_6 is 0 or 1 and the weightings are
     # the matchings, so a walk over {0,1}^15 sees all of them
-    edges = _so_edges(3)
+    edges = _complete_edges(6)
     brute = [0] * 4
     for weights in product((0, 1), repeat=len(edges)):
         degree = [0] * 6
@@ -117,15 +119,15 @@ def test_so_k3_coefficients_against_zero_one_walk():
 def test_exact_and_float_paths_agree():
     # the float-weight DP against the integer coefficients, both groups
     cases = (
-        (unitary_truncated_coefficients, _unitary_edges, 3, 9, 1.2),
-        (unitary_truncated_coefficients, _unitary_edges, 2, 12, 1.7),
-        (so_truncated_coefficients, _so_edges, 3, 4, 1.3),
-        (so_truncated_coefficients, _so_edges, 2, 6, 1.9),
+        (unitary_truncated_coefficients, _bipartite_edges(3, 3), 3, 9, 1.2),
+        (unitary_truncated_coefficients, _bipartite_edges(2, 2), 2, 12, 1.7),
+        (so_truncated_coefficients, _complete_edges(6), 3, 4, 1.3),
+        (so_truncated_coefficients, _complete_edges(4), 2, 6, 1.9),
     )
     for coefficients, edges, k, L, z in cases:
         w = z * z
         direct = math.fsum(c * w**s for s, c in enumerate(coefficients(k, L)))
-        assert _capped_degree_dp(2 * k, edges(k), L, w) == pytest.approx(direct, rel=1e-12)
+        assert _capped_degree_dp(2 * k, edges, L, w) == pytest.approx(direct, rel=1e-12)
 
 
 def test_so_exact_and_coefficients_agree():
