@@ -146,8 +146,8 @@ def _cmd_count(args, seed, t0) -> int:
         try:
             enum = rademacher_moment_sign_enum(args.k, int(args.x))
         except ResourceLimitError:
-            # the sign-pattern walk is capped at 24 primes; beyond that the
-            # tuple route stands alone
+            # the sign enumeration's Walsh table is capped at 2^24 cells, the
+            # primes <= x/2 (x <= 193); beyond that the tuple route stands alone
             results["routes_agree"] = None
         else:
             results["sign_enum_route"] = enum

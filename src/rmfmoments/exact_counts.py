@@ -10,14 +10,17 @@ Three families of identities are implemented:
   sorted and the memory is the (k-1)-level map plus one window.  The
   energy reduces the k-th level window by window without keeping it;
   guards on memory and run time refuse a map before it is allocated.
-  The unweighted k = 2 energy takes the totient identity instead.
+  The unweighted k = 2 energy instead sums the totient identity over the
+  O(sqrt x) blocks of equal floor(x/m), with the summatory totient sieved
+  up to x^(2/3) and recursed above it, in O(x^(2/3)) steps.
 
 * Rademacher: E(sum_{n<=x} Y_n)^(2k) is evaluated two independent ways,
   by full enumeration of sign assignments to the primes (a fast Walsh
-  transform over 2^pi(x) patterns) and by counting 2k-tuples of
-  squarefree integers whose product is a perfect square (GF(2) prime
-  signatures with a half convolution).  Their exact agreement is the
-  main cross-check of this module.
+  transform over the 2^pi(x/2) patterns of the primes <= x/2, each prime
+  above x/2 adding an independent sign in closed form) and by counting
+  2k-tuples of squarefree integers whose product is a perfect square
+  (GF(2) prime signatures with a half convolution).  Their exact
+  agreement is the main cross-check of this module.
 
 * Dirichlet characters mod a prime q: the character-averaged 2k-th
   moment equals an exact congruence count by orthogonality; both sides
@@ -50,11 +53,18 @@ __all__ = [
     "congruence_count",
 ]
 
-# one guard on memory: totient tables, multiplicity maps, capped-degree DP
+# one guard on memory: multiplicity maps, capped-degree DP, and the k = 2
+# totient table through the run-time guard that admits it
 _MEMORY_GUARD = 2**30
-# the totient path holds about five int64 arrays of length x; its traced
-# peak is 40.6 MB at x = 10^6, sieve included.  1 GiB admits x up to ~2.7e7
-_TOTIENT_BYTES_PER_X = 40
+# The unweighted k = 2 energy sieves the totient up to y = x^(2/3) / 4 and
+# takes the summatory totient at the ~x^(1/3) values floor(x/j) above y in
+# numpy, about 4 x / sqrt(y) element operations; both parts cost ~x^(2/3).
+# Measured at 0.22-0.25 us per unit of x^(2/3) (1.0 s at x = 10^10, 5.4 s
+# at 10^11; Python 3.11, numpy 2.4, 2-vCPU KVM guest), so the guard on run
+# time is about 7 s.  The largest admitted x, 1.64e11, has y = 7.5e6 and a
+# peak RSS of 173 MB, under _MEMORY_GUARD, and every int64 partial sum of
+# the recursion stays under 2 x (y + 1) = 2.5e18 < 2^63.
+_TOTIENT_STEP_GUARD = 3 * 10**7
 # The multiplicity maps stream products through one int64 window of 2^20
 # cells.  A window with its nonzeros and, for sigma > 0, its float terms
 # and their fsum list take under 64 MiB (traced peak 59 MiB for the k = 2,
@@ -76,6 +86,9 @@ _SCATTER_OP_GUARD = 2 * 10**9
 # the weighted k=1 energy is a Python fsum over x terms, ~0.15 s per 10^6
 # terms on a 2-vCPU KVM guest with Python 3.11
 _FSUM_TERM_GUARD = 10**7
+# the sign enumeration's Walsh table has 2^pi(x/2) cells, one int8 each:
+# 2^24 cells (16 MiB) admit x <= 193
+_SIGN_PRIME_GUARD = 24
 # the exact character average raises a Kronecker-packed integer to the
 # k-th power; 2^23 result bits take ~1.3 s (same host), and the cost grows
 # like bits^1.58 under CPython's Karatsuba multiplication
@@ -213,26 +226,56 @@ def _totient_table(x: int) -> np.ndarray:
     return phi
 
 
-def _energy_k2_sigma0(x: int) -> int:
-    # Pairs ab = cd <= x^2 parametrized by g = gcd(a, c): the count is
-    # sum_{m<=x} (2*phi(m) - [m=1]) * floor(x/m)^2, evaluated exactly.
-    need = _TOTIENT_BYTES_PER_X * x
-    if need > _MEMORY_GUARD:
+def _totient_cutoff(x: int) -> int:
+    """The sieve bound y of the k = 2 energy at x, after its guard on run time."""
+    steps = round(x ** (2 / 3))
+    if steps > _TOTIENT_STEP_GUARD:
         raise ResourceLimitError(
-            f"k=2 totient path at x = {x} needs ~{need >> 20} MiB of int64 tables, past the "
-            f"{_MEMORY_GUARD >> 20} MiB guard on memory"
+            f"k=2 summatory-totient path at x = {x} takes ~x^(2/3) = {steps:.3g} steps, past "
+            f"the {_TOTIENT_STEP_GUARD:.0e} guard on run time"
         )
-    phi = _totient_table(x)
-    m = np.arange(1, x + 1, dtype=np.int64)
-    weights = 2 * phi[1:]
-    weights[0] -= 1
-    floors = x // m
+    return max(math.isqrt(x), steps // 4)
+
+
+def _energy_k2_sigma0(x: int) -> int:
+    """E_2(x) = 2 sum_{i<=x} (2i - 1) Phi(floor(x/i)) - x^2, Phi the summatory totient.
+
+    The solutions of ab = cd with a, b, c, d <= x, parametrized by
+    g = gcd(a, c), number sum_{m<=x} (2 phi(m) - [m=1]) floor(x/m)^2, and
+    floor(x/m)^2 is the sum of 2i - 1 over i <= x/m.  The sum over i runs
+    by the O(sqrt x) blocks of equal floor(x/i), so Phi is needed only at
+    the values floor(x/j).  Those up to y ~ x^(2/3) come from the sieved
+    table.  The larger ones, at j <= J = floor(x/(y+1)), come in
+    increasing order from sum_{d<=n} Phi(floor(n/d)) = n(n+1)/2
+    (Deleglise and Rivat, Experiment. Math. 1996): with n = floor(x/j),
+    floor(n/d) = floor(x/(jd)) is big[jd] when jd <= J and a table entry
+    otherwise.
+    """
+    y = _totient_cutoff(x)
+    small = np.cumsum(_totient_table(y))
+    J = x // (y + 1)
+    big = [0] * (J + 1)  # big[j] = Phi(floor(x/j)), Python ints past int64
+    for j in range(J, 0, -1):
+        n = x // j
+        r = math.isqrt(n)
+        top = J // j  # d <= top: floor(n/d) > y, already in big
+        s = n * (n + 1) // 2 - sum(big[j * d] for d in range(2, top + 1))
+        # top < d <= r: one table entry each
+        s -= int(small[n // np.arange(top + 1, r + 1, dtype=np.int64)].sum())
+        # d > r: floor(n/d) = v <= n/(r+1), for the n//v - n//(v+1) values
+        # of d in (n/(v+1), n/v], all past r since n//(n//(r+1) + 1) = r
+        v = np.arange(1, n // (r + 1) + 1, dtype=np.int64)
+        s -= int(np.dot(small[v], n // v - n // (v + 1)))
+        big[j] = s
     total = 0
-    for lo in range(0, x, 1 << 20):
-        w = weights[lo : lo + (1 << 20)]
-        f = floors[lo : lo + (1 << 20)]
-        total += int(np.dot(w, f * f))
-    return total
+    i = 1
+    while i <= x:
+        q = x // i
+        e = x // q
+        # a block above y is a single i <= J
+        total += (e * e - (i - 1) ** 2) * (int(small[q]) if q <= y else big[e])
+        i = e + 1
+    return 2 * total - x * x
 
 
 def _sum_of_squares_exact(counts: np.ndarray) -> int:
@@ -338,29 +381,54 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
 
 
 def rademacher_moment_sign_enum(k: int, x: int) -> int:
-    """E (sum_{n<=x} Y_n)^(2k) by enumerating all 2^pi(x) sign patterns.
+    """E (sum_{n<=x} Y_n)^(2k) by enumerating the sign patterns of the primes.
 
-    The Walsh transform of the signature histogram gives the sum S for
-    every sign assignment at once; the moment is the exact average of
-    S^(2k), which is always an integer (it equals the tuple count).
+    A prime p > x/2 divides only n = p among the squarefree n <= x, so its
+    sign is an independent +-1 term: S = S_small + sum of the m large signs.
+    The Walsh transform of the signature histogram over the primes <= x/2
+    gives S_small for every small sign pattern at once, and the large signs
+    add a binomial law: the moment is
+    sum_s c_s sum_j C(m, j) (s + m - 2j)^(2k) / 2^pi(x), always an integer
+    (it equals the tuple count).
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if x < 1:
         raise ValueError("x must be at least 1")
     x = int(x)
+    # pi(x/2) is counted no further than 2^16, the prime table's least size,
+    # so a huge x is refused without a sieve (any x/2 >= 97 passes the guard)
+    nsmall = len(primes_up_to(min(x // 2, 1 << 16)))
+    if nsmall > _SIGN_PRIME_GUARD:
+        raise ResourceLimitError(
+            f"sign enumeration at x = {x} needs a 2^pi(x/2) = 2^{nsmall}-cell Walsh table, "
+            f"past the 2^{_SIGN_PRIME_GUARD}-cell ({(1 << _SIGN_PRIME_GUARD) >> 20} MiB int8) "
+            "guard on memory"
+        )
     masks, nprimes = _squarefree_masks(x)
-    if nprimes > 24:
-        raise ResourceLimitError(f"pi({x}) = {nprimes} primes exceeds the 24-bit sign-pattern guard")
-    f = np.zeros(1 << nprimes, dtype=np.int64)
-    for mask in masks:
+    # the large primes hold the top bits, and a mask with one is n = p itself
+    small = [mask for mask in masks if mask < 1 << nsmall]
+    # every partial sum of the transform is a signed sum of the len(small)
+    # histogram entries; int8 arrays wrap without a warning, so the dtype
+    # is the narrowest that holds that bound
+    bound = len(small)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound)
+    f = np.zeros(1 << nsmall, dtype=dtype)
+    for mask in small:
         f[mask] += 1
     sums = _walsh_hadamard(f)
-    hist = np.bincount((sums + x).astype(np.int64), minlength=2 * x + 1)
+    # bincount casts to intp, so it takes the table in 2^20-cell slices
+    hist = np.zeros(2 * bound + 1, dtype=np.int64)
+    for lo in range(0, len(sums), 1 << 20):
+        chunk = sums[lo : lo + (1 << 20)].astype(np.int64) + bound
+        hist += np.bincount(chunk, minlength=len(hist))
+    # j of the m large signs are negative in C(m, j) of their 2^m patterns
+    m = nprimes - nsmall
+    large = [(math.comb(m, j), m - 2 * j) for j in range(m + 1)]
     total = 0
     for s, c in enumerate(hist.tolist()):
         if c:
-            total += c * (s - x) ** (2 * k)
+            total += c * sum(ways * (s - bound + t) ** (2 * k) for ways, t in large)
     denom = 1 << nprimes
     if total % denom:
         raise RuntimeError("sign-pattern average was not an integer; enumeration bug")

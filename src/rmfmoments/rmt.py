@@ -26,6 +26,7 @@ stack; every coefficient is bit for bit the one a single draw gives.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -127,10 +128,23 @@ def _coefficients(group: str, k: int, L: int) -> tuple[int, ...]:
 def _moment_exact(group: str, k: int, L: int, z_abs: float) -> float:
     q = _check_query(group, k, L, z_abs)
     w = q.z_abs * q.z_abs
-    if L <= _CAPS[group][k][1]:
-        cached = unitary_truncated_coefficients if group == "unitary" else so_truncated_coefficients
-        return math.fsum(c * w**s for s, c in enumerate(cached(k, L)))
-    return _capped_degree_dp(2 * k, _group_edges(group, k), L, w)
+    # every term, and every entry of the float DP state, is at most the
+    # moment, so a float overflow anywhere means the moment passes the range
+    cached = unitary_truncated_coefficients if group == "unitary" else so_truncated_coefficients
+    try:
+        with np.errstate(over="raise"):
+            if L <= _CAPS[group][k][1]:
+                value = math.fsum(c * w**s for s, c in enumerate(cached(k, L)))
+            else:
+                value = _capped_degree_dp(2 * k, _group_edges(group, k), L, w)
+    except (OverflowError, FloatingPointError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ResourceLimitError(
+            f"{group} moment at k = {k}, L = {L}, |z| = {q.z_abs:g} passes the float range "
+            f"(up to {sys.float_info.max:.3g}); |z|^(2kL) alone is 10^{k * L * math.log10(w):.0f}"
+        )
+    return value
 
 
 @cache

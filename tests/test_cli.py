@@ -139,9 +139,11 @@ def test_bad_flag_exit_2(capsys):
 def test_resource_refusal_exit_3(capsys):
     assert main(["rmt", "--k", "2", "--L", "400", "--z", "1.5"]) == 3
     capsys.readouterr()
+    assert main(["rmt", "--k", "1", "--L", "200", "--z", "100"]) == 3
+    assert "float range" in capsys.readouterr().err
     assert main(["simulate", "--x", "100000000", "--trials", "200"]) == 3
     capsys.readouterr()
-    assert main(["count", "--model", "steinhaus", "--k", "2", "--x", "1e8"]) == 3
+    assert main(["count", "--model", "steinhaus", "--k", "2", "--x", "1e12"]) == 3
     capsys.readouterr()
     assert main(["count", "--model", "steinhaus", "--k", "1", "--x", "1e9", "--sigma", "0.25"]) == 3
     capsys.readouterr()

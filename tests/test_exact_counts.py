@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from rmfmoments.errors import ResourceLimitError
 from rmfmoments.exact_counts import (
+    _TOTIENT_STEP_GUARD,
+    _totient_cutoff,
+    _totient_table,
     char_moment_average,
     congruence_count,
     product_multiplicity_map,
@@ -146,9 +149,30 @@ def test_energy_monotone_in_x():
         prev = cur
 
 
+@pytest.mark.parametrize("x", [1, 2, 3, 10, 137, 1999, 3000, 10**5, 10**6])
+def test_energy_k2_equals_full_totient_sum(x):
+    # the block sum over the summatory totient against the full sum
+    # sum_m (2 phi(m) - [m=1]) floor(x/m)^2 over one totient table to x
+    m = np.arange(1, x + 1, dtype=np.int64)
+    weights = 2 * _totient_table(x)[1:]
+    weights[0] -= 1
+    floors = x // m
+    assert steinhaus_energy(2, x).value == int(np.dot(weights, floors * floors))
+
+
+def test_energy_k2_int64_sums_bounded_at_guard():
+    # the recursion's int64 partial sums stay under 2 x (y + 1) for the
+    # largest x the guard on run time admits
+    x = int(_TOTIENT_STEP_GUARD**1.5)
+    y = _totient_cutoff(x)
+    assert 2 * x * (y + 1) < 2**63
+    with pytest.raises(ResourceLimitError, match="guard on run time"):
+        _totient_cutoff(x + x // 1000)
+
+
 def test_energy_k2_fast_path_agrees_with_map_path():
-    # the unweighted k = 2 energy always takes the totient identity; the
-    # generic product map is the independent route
+    # the unweighted k = 2 energy always takes the summatory-totient block
+    # sum; the generic product map is the independent route
     for x in [*range(1, 201), 1999, 3000]:
         mm = product_multiplicity_map(2, x)
         direct = sum(int(c) * int(c) for c in mm.counts.tolist())
@@ -166,7 +190,7 @@ def test_energy_floor_semantics():
 @pytest.mark.parametrize(
     "k, x, sigma",
     [
-        (2, 10**8, 0.0),  # totient path: ~4 GB of int64 tables
+        (2, 10**12, 0.0),  # summatory-totient path: ~x^(2/3) = 10^8 steps
         (1, 10**9, 0.25),  # weighted k = 1 path: a 10^9-term Python fsum
         (3, 10**4, 0.0),  # scatter path: a 2-level map of up to 5e7 entries
     ],
@@ -221,13 +245,33 @@ def test_rademacher_k1_counts_squarefull_free_pairs():
         assert rademacher_moment_tuple_count(1, x) == expected
 
 
-def test_sign_enum_guard():
-    # the sign enumeration walks all squarefree supports, so it refuses
-    # once more than 24 primes would be involved
-    from rmfmoments.errors import ResourceLimitError
+def test_sign_enum_large_primes_equal_tuple_count_to_120():
+    # the primes above x/2 enter in closed form
+    for x in range(1, 121):
+        assert rademacher_moment_sign_enum(2, x) == rademacher_moment_tuple_count(2, x), x
 
-    with pytest.raises(ResourceLimitError):
-        rademacher_moment_sign_enum(2, 200)
+
+@pytest.mark.parametrize(
+    "k, x", [(2, 150), (2, 178), (2, 193)] + [(k, x) for k in (1, 3) for x in (40, 79, 96)]
+)
+def test_sign_enum_large_primes_equal_tuple_count(k, x):
+    # x = 178 and 193 fill the largest Walsh table, 2^24 int8 cells, where
+    # S_small reaches 92 and 98
+    assert rademacher_moment_sign_enum(k, x) == rademacher_moment_tuple_count(k, x)
+
+
+def test_sign_enum_guard():
+    # the Walsh table has 2^pi(x/2) cells; pi(97) = 25 passes the 2^24-cell
+    # guard, refused before the table, the masks or a large prime sieve is built
+    for x in (194, 200, 10**8):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="guard on memory"):
+                rademacher_moment_sign_enum(2, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # --- character averages ------------------------------------------------------

@@ -144,6 +144,30 @@ def test_coefficient_caps_enforced():
         so_truncated_moment_exact(3, 30, 1.5)
 
 
+@pytest.mark.parametrize(
+    "moment, k, L, z",
+    [
+        # exact coefficients, |z|^(2kL) = 10^800
+        (unitary_truncated_moment_exact, 1, 200, 100.0),
+        # float DP, 10^360 and 10^672
+        (unitary_truncated_moment_exact, 3, 30, 100.0),
+        (so_truncated_moment_exact, 2, 24, 1e7),
+    ],
+)
+def test_moment_past_float_range_refused(moment, k, L, z):
+    # refused with the range named, and without an overflow RuntimeWarning
+    with pytest.raises(ResourceLimitError, match="float range"):
+        moment(k, L, z)
+
+
+def test_moment_just_inside_float_range():
+    # w^200 = 10^300: the last geometric term is finite and the sum returned
+    z = 10**0.75
+    w = z * z
+    expected = (w**201 - 1) / (w - 1)
+    assert unitary_truncated_moment_exact(1, 200, z) == pytest.approx(expected, rel=1e-12)
+
+
 def test_moment_rejects_z_inside_unit_disk():
     with pytest.raises(ValueError):
         unitary_truncated_moment_exact(2, 5, 0.9)
