@@ -17,11 +17,15 @@ edge weights:
 Volumes are normalized as leading coefficients of Ehrhart polynomials,
 interpolated exactly over rationals from dilation counts, then validated
 at out-of-sample dilations.  ``birkhoff`` is counted by memoized
-recursion over row compositions with exact margins; ``alpha_box`` and
-``beta_mixed`` by the capped-degree edge DP on K_{k,k} and K_{k-1,k}
-that also gives the ``rmt`` moments; ``gamma_sym`` by one int64 table of
-degree-vector counts on K_{2k-1}, built by adding vertices one at a time,
-from which every dilation's count is a slice sum.
+recursion over row compositions with exact margins, the last two rows in
+closed form; ``alpha_box`` and ``beta_mixed`` by the capped-degree edge
+DP on K_{k,k} and K_{k-1,k} that also gives the ``rmt`` moments (its
+graded counts read the total weight off the degrees of the closing
+vertices, so no weight axis rides through the edge steps, and
+``beta_mixed`` at t is the count with every row saturated);
+``gamma_sym`` by one int64 table of degree-vector counts on K_{2k-1},
+built by adding vertices one at a time, from which every dilation's count
+is a slice sum.
 Floating interpolation is hopeless at degree 9 and up; everything here
 is integer and Fraction arithmetic.
 """
@@ -131,13 +135,35 @@ def _compositions(total: int, caps: tuple[int, ...]):
     yield from rec(0, total)
 
 
+def _bounded_compositions(total: int, caps: tuple[int, ...]) -> int:
+    """Tuples 0 <= x_i <= caps_i with sum total, by inclusion-exclusion.
+
+    Forcing x_i > caps_i for each i in a set S leaves the compositions of
+    total - sum_S (caps_i + 1) into m parts: sum over S of
+    (-1)^|S| C(total - sum_S (caps_i + 1) + m - 1, m - 1).
+    """
+    m = len(caps)
+    if m == 0:
+        return int(total == 0)
+    count = 0
+    for size in range(m + 1):
+        for subset in combinations(caps, size):
+            rest = total - sum(subset) - size
+            if rest >= 0:
+                count += (-1) ** size * math.comb(rest + m - 1, m - 1)
+    return count
+
+
 @cache
 def count_margin_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
     """Nonnegative integer matrices with exact row sums and column sums.
 
     Row order is irrelevant to the count, as is column order; callers may
     pass margins in any order.  The recursion peels off the first row and
-    canonicalizes the reduced column margins by sorting.
+    canonicalizes the reduced column margins by sorting.  With two rows
+    left the first fixes the second (column j takes cols_j minus the first
+    row's entry), so the count is the number of first rows bounded by the
+    column sums, in closed form.
     """
     if any(r < 0 for r in rows) or any(c < 0 for c in cols):
         return 0
@@ -145,6 +171,8 @@ def count_margin_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
         return 0
     if not rows:
         return 1 if all(c == 0 for c in cols) else 0
+    if len(rows) == 2:
+        return _bounded_compositions(rows[0], cols)
     rows = tuple(sorted(rows, reverse=True))
     cols = tuple(sorted(cols, reverse=True))
     total = 0
@@ -167,22 +195,65 @@ def _complete_edges(m: int) -> list[tuple[int, int]]:
     return list(combinations(range(m), 2))
 
 
+def _graded_vertices(edges: list[tuple[int, int]]) -> tuple[set[int], int]:
+    """The vertices whose degrees sum to the total weight W or to 2W, and which.
+
+    On a bipartite edge list (no first endpoint is ever a second one) the
+    first endpoints' degrees sum to W; on any other list every vertex
+    counts and the degrees sum to 2W.
+    """
+    firsts = {i for i, _ in edges}
+    if firsts.isdisjoint(j for _, j in edges):
+        return firsts, 1
+    return {v for edge in edges for v in edge}, 2
+
+
+# numpy's ufunc buffers (8192 elements each) and the DP's own bookkeeping,
+# on top of the state arrays; measured at up to 133 KiB (float w)
+_DP_SCRATCH_BYTES = 1 << 18
+
+
+def _dp_peak_bytes(edges: list[tuple[int, int]], L: int, graded: set[int]) -> int:
+    """Most bytes the capped-degree DP holds at once, from its schedule alone.
+
+    The state is the accumulator (length 1 until a graded vertex closes, L
+    longer after each) times L + 1 per open vertex, 8 bytes a cell.
+    Opening, summing out and folding each build a new state while the old
+    one is alive, so each counts both.  The state only grows when a vertex
+    opens, so an edge step's temporary, one diagonal slice of at most
+    1/(L + 1) of the state, fits under the opening before it.
+    """
+    last = {v: e for e, edge in enumerate(edges) for v in edge}
+    opened: set[int] = set()
+    acc, axes, peak = 1, 0, 1
+    for e, edge in enumerate(edges):
+        for v in edge:
+            if v not in opened:
+                opened.add(v)
+                peak = max(peak, acc * (L + 1) ** axes * (L + 2))
+                axes += 1
+        for v in edge:
+            if last[v] == e:
+                old = acc * (L + 1) ** axes
+                axes -= 1
+                acc += L * (v in graded)
+                peak = max(peak, old + acc * (L + 1) ** axes)
+    return 8 * peak + _DP_SCRATCH_BYTES
+
+
 def _check_dp_guards(n: int, edges: list[tuple[int, int]], L: int, w) -> None:
     """Refuse a capped-degree DP before it allocates.
 
-    The peak state holds (L+1)^(most vertices open at once) cells of 8
-    bytes, times n L/2 + 1 when the powers of w are carried.  Integer
-    counts stay below prod_v C(L + a_v, a_v) |w|^(n L/2): give each edge
-    to its first endpoint v, and the a_v edges of v carry at most L.
+    Memory is bounded by ``_dp_peak_bytes``.  Integer counts stay below
+    prod_v C(L + a_v, a_v) |w|^(n L/2): give each edge to its first
+    endpoint v, and the a_v edges of v carry at most L.
     """
-    first = {v: e for e, edge in reversed(list(enumerate(edges))) for v in edge}
-    last = {v: e for e, edge in enumerate(edges) for v in edge}
-    peak = max((sum(first[v] <= e <= last[v] for v in last) for e in range(len(edges))), default=0)
-    cells = (n * L // 2 + 1 if w is None else 1) * (L + 1) ** peak
-    if 8 * cells > _MEMORY_GUARD:
+    graded = _graded_vertices(edges)[0] if w is None else set()
+    peak = _dp_peak_bytes(edges, L, graded)
+    if peak > _MEMORY_GUARD:
         raise ResourceLimitError(
-            f"capped-degree DP on {n} vertices at L = {L} needs a state of {cells} cells "
-            f"({8 * cells >> 20} MiB), past the {_MEMORY_GUARD >> 20} MiB guard on memory"
+            f"capped-degree DP on {n} vertices at L = {L} needs {peak >> 20} MiB of state "
+            f"at its peak, past the {_MEMORY_GUARD >> 20} MiB guard on memory"
         )
     if w is None or isinstance(w, int):
         bound = math.prod(math.comb(L + a, a) for a in Counter(i for i, _ in edges).values())
@@ -194,46 +265,69 @@ def _check_dp_guards(n: int, edges: list[tuple[int, int]], L: int, w) -> None:
             )
 
 
+def _fold(A: np.ndarray, axis: int, L: int) -> np.ndarray:
+    """Close a graded vertex: B[g + L - r] += A[g, r], r the vertex's residual on ``axis``."""
+    A = np.moveaxis(A, axis, 1)
+    B = np.zeros((A.shape[0] + L,) + A.shape[2:], dtype=A.dtype)
+    for r in range(L + 1):
+        B[L - r : L - r + A.shape[0]] += A[:, r]
+    return B
+
+
 def _capped_degree_dp(
     n: int, edges: list[tuple[int, int]], L: int, w: float | None = None
 ) -> tuple[int, ...] | float:
     """Sum of w^(total weight) over edge weightings with every vertex degree <= L.
 
     The state has one residual-capacity axis per open vertex: it opens at
-    the vertex's first edge with capacity L and is summed out after its
-    last edge.  Weight c on edge (i, j) moves mass from (r_i, r_j) to
+    the vertex's first edge with capacity L and is closed after its last
+    edge.  Weight c on edge (i, j) moves mass from (r_i, r_j) to
     (r_i - c, r_j - c), so one edge step is the in-place diagonal prefix
     sum A[r_i, r_j] += w A[r_i + 1, r_j + 1], taken downward in r_i.  With
-    w None a leading axis holds the exact coefficient of each power of w,
-    each step also shifts it by one, and the coefficients come back as a
-    tuple; otherwise the total comes back, an exact int for an integer w
-    (w = 1 counts the weightings) and a float for a float w.
+    an integer or float w a closing vertex is summed out and the total
+    comes back, an exact int for an integer w (w = 1 counts the
+    weightings) and a float for a float w.
+
+    With w None the exact coefficient of each power of w comes back, as a
+    tuple of n L // 2 + 1 entries.  The total weight W is a function of
+    the final degrees alone: on a bipartite edge list it is the sum of the
+    first endpoints' degrees, on any other 2W is the sum of every degree
+    (``_graded_vertices``).  A vertex's degree is known once it closes, as
+    L - r, so W is read there and no weight axis rides through the edge
+    steps, which are the w = 1 step.  A graded vertex's close folds its
+    axis into a leading accumulator of the degrees closed so far,
+    B[g + L - r] += A[g, r], where any other vertex is summed out.  The
+    accumulator has length 1 until the first graded close, which in the
+    column-by-column K_{k,k} order comes in the last column.  On a
+    non-bipartite list the coefficients are its even entries.
     """
     _check_dp_guards(n, edges, L, w)
+    graded, scale = _graded_vertices(edges) if w is None else (set(), 1)
     last = {v: e for e, edge in enumerate(edges) for v in edge}
-    lead = int(w is None)  # 1 when axis 0 holds the exact coefficients
-    A = np.zeros((n * L // 2 + 1,) * lead, dtype=np.float64 if isinstance(w, float) else np.int64)
-    A[(0,) * lead] = 1
+    # axis 0 is the accumulator, then one axis per open vertex
+    A = np.ones(1, dtype=np.float64 if isinstance(w, float) else np.int64)
     open_axes: list[int] = []
     for e, edge in enumerate(edges):
         for v in edge:
             if v not in open_axes:
                 A = np.pad(A[..., None], [(0, 0)] * A.ndim + [(L, 0)])
                 open_axes.append(v)
-        ai, aj = (lead + open_axes.index(v) for v in edge)
+        ai, aj = (1 + open_axes.index(v) for v in edge)
         for r in range(L - 1, -1, -1):
             dst = [slice(None)] * A.ndim
             src = [slice(None)] * A.ndim
             dst[ai], src[ai] = r, r + 1
             dst[aj], src[aj] = slice(0, L), slice(1, L + 1)
-            if lead:
-                dst[0], src[0] = slice(1, None), slice(0, -1)
-            A[tuple(dst)] += A[tuple(src)] if lead else w * A[tuple(src)]
+            A[tuple(dst)] += A[tuple(src)] if w is None else w * A[tuple(src)]
         for v in edge:
             if last[v] == e:
-                A = A.sum(axis=lead + open_axes.index(v))
+                axis = 1 + open_axes.index(v)
+                A = _fold(A, axis, L) if v in graded else A.sum(axis=axis)
                 open_axes.remove(v)
-    return tuple(A.tolist()) if lead else A.item()
+    if w is not None:
+        return A.item()
+    coefficients = A.tolist()[::scale]
+    return tuple(coefficients + [0] * (n * L // 2 + 1 - len(coefficients)))
 
 
 # The degree table for gamma_sym holds one int64 per degree vector of

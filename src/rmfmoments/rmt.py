@@ -9,9 +9,11 @@ degrees at most L and weight z^(2 total).  A k x k matrix is an edge
 weighting of the bipartite graph K_{k,k}, so both are sums over edge
 weightings with every vertex degree at most L, and one dynamic program
 over residual vertex capacities, taken edge by edge, evaluates both.
-Within documented budgets it carries exact integer coefficients of the
-powers of w and only the final polynomial evaluation happens in floats;
-past them it carries w itself.
+Within documented budgets it returns exact integer coefficients of the
+powers of w, read off the degrees of the vertices as they close (the
+rows of K_{k,k}, every vertex of K_{2k} at twice the weight), and only
+the final polynomial evaluation happens in floats; past them it carries
+w itself.
 
 Monte Carlo counterparts sample Haar unitaries via QR of a complex
 Gaussian matrix with the diagonal-phase correction (the uncorrected QR

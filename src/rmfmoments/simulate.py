@@ -31,8 +31,11 @@ __all__ = ["estimate_abs_moment", "helson_table"]
 
 _MAX_SIEVE_X = 10_000_000
 # bytes of fill state per chunk of trials; small chunks keep the gathers
-# in cache, and one trial's row is never split
-_CHUNK_BYTES = 16 * 2**20
+# in cache, and one trial's row is never split.  At x = 10^5 two threads
+# hold two chunk states at once: the benchmark's sampled pass peaked at
+# 81-93 MB RSS with 8 MiB, 72-78 MB with 4 MiB and 100-105 MB with 16 MiB,
+# at equal Steinhaus times (2-vCPU KVM guest, Python 3.11, numpy 2.4)
+_CHUNK_BYTES = 8 * 2**20
 
 
 def _check_x(x: int) -> int:

@@ -2,6 +2,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,11 @@ from hypothesis import strategies as st
 from rmfmoments import polytopes
 from rmfmoments.errors import ResourceLimitError
 from rmfmoments.polytopes import (
+    _bipartite_edges,
+    _capped_degree_dp,
+    _complete_edges,
+    _dp_peak_bytes,
+    _graded_vertices,
     alpha_box,
     alpha_constant,
     beta_constant,
@@ -51,6 +57,23 @@ def test_margin_count_brute_force_2x3():
         ):
             brute += 1
     assert count_margin_matrices(rows, cols) == brute
+
+
+@given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_two_row_margin_count_against_enumeration(cols, data):
+    # two rows go through the closed form; walk every 2 x m matrix instead
+    first = data.draw(st.integers(min_value=0, max_value=sum(cols)))
+    rows = (first, sum(cols) - first)
+    m = len(cols)
+    brute = sum(
+        1
+        for mat in product(range(max(cols) + 1), repeat=2 * m)
+        if sum(mat[:m]) == rows[0]
+        and sum(mat[m:]) == rows[1]
+        and all(mat[j] + mat[m + j] == cols[j] for j in range(m))
+    )
+    assert count_margin_matrices(rows, tuple(cols)) == brute
 
 
 @given(
@@ -135,6 +158,100 @@ def test_capped_dp_refused_before_allocating(t, limit):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def graded_dp_with_weight_axis(n, edges, L):
+    """The capped-degree DP that carries a leading axis of w-powers through
+    every edge step, shifting it by one as it moves mass, and sums each
+    vertex out at its last edge."""
+    last = {v: e for e, edge in enumerate(edges) for v in edge}
+    A = np.zeros(n * L // 2 + 1, dtype=np.int64)
+    A[0] = 1
+    open_axes = []
+    for e, edge in enumerate(edges):
+        for v in edge:
+            if v not in open_axes:
+                A = np.pad(A[..., None], [(0, 0)] * A.ndim + [(L, 0)])
+                open_axes.append(v)
+        ai, aj = (1 + open_axes.index(v) for v in edge)
+        for r in range(L - 1, -1, -1):
+            dst = [slice(None)] * A.ndim
+            src = [slice(None)] * A.ndim
+            dst[ai], src[ai] = r, r + 1
+            dst[aj], src[aj] = slice(0, L), slice(1, L + 1)
+            dst[0], src[0] = slice(1, None), slice(0, -1)
+            A[tuple(dst)] += A[tuple(src)]
+        for v in edge:
+            if last[v] == e:
+                A = A.sum(axis=1 + open_axes.index(v))
+                open_axes.remove(v)
+    return tuple(A.tolist())
+
+
+@pytest.mark.parametrize(
+    "n,edges,L_max",
+    [(2 * k, _bipartite_edges(k, k), 6) for k in range(1, 5)]
+    + [(2 * k, _complete_edges(2 * k), 5) for k in range(1, 4)]
+    + [(2 * k - 1, _bipartite_edges(k - 1, k), 6) for k in range(1, 5)],
+    ids=[f"unitary-k{k}" for k in range(1, 5)]
+    + [f"so-k{k}" for k in range(1, 4)]
+    + [f"beta_mixed-k{k}" for k in range(1, 5)],
+)
+def test_graded_dp_equals_weight_axis_reference(n, edges, L_max):
+    # reading the weight off closing vertices gives the tuple, trailing
+    # zeros included, that carrying it through every edge step gives
+    for L in range(L_max + 1):
+        assert _capped_degree_dp(n, edges, L) == graded_dp_with_weight_axis(n, edges, L)
+
+
+@pytest.mark.parametrize(
+    "n,edges,L",
+    [
+        (6, _bipartite_edges(3, 3), 15),
+        (6, _complete_edges(6), 7),
+        (7, _bipartite_edges(3, 4), 12),  # the last Ehrhart dilation
+    ],
+    ids=["unitary-k3", "so-k3", "beta_mixed-k4"],
+)
+def test_graded_dp_peak_within_prediction(n, edges, L):
+    predicted = _dp_peak_bytes(edges, L, _graded_vertices(edges)[0])
+    tracemalloc.start()
+    try:
+        _capped_degree_dp(n, edges, L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= predicted
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda: lattice_count(beta_mixed(5), 40),  # 41^5 cells held twice at a fold
+        lambda: _capped_degree_dp(8, _bipartite_edges(4, 4), 40),
+    ],
+    ids=["beta_mixed-k5", "unitary-k4"],
+)
+def test_graded_dp_refused_before_allocating(count):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="guard on memory"):
+            count()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_gamma_counts_equal_capped_dp_on_one_vertex_fewer():
+    # the last vertex of K_{2k} takes the slack: its edges carry 2t - s_a,
+    # so the other 2k - 1 vertices have degrees <= 2t and total weight
+    # (2k - 2) t.  The DP shares no code with the degree table
+    for k, t_max in ((2, 12), (3, 8)):
+        m = 2 * k - 1
+        for t in range(t_max + 1):
+            dp = _capped_degree_dp(m, _complete_edges(m), 2 * t)[(m - 1) * t]
+            assert lattice_count(gamma_sym(k), t) == dp
 
 
 def test_gamma_k2():
