@@ -23,11 +23,14 @@ DP on K_{k,k} and K_{k-1,k} that also gives the ``rmt`` moments (its
 graded counts read the total weight off the degrees of the closing
 vertices, so no weight axis rides through the edge steps, and
 ``beta_mixed`` at t is the count with every row saturated);
-``gamma_sym`` by one int64 table of degree-vector counts on K_{2k-1},
-built by adding vertices one at a time, from which every dilation's count
-is a slice sum.
+``gamma_sym`` by one int64 table of degree-vector counts on K_{2k-2},
+built by adding vertices one at a time, and a table of the ways the last
+two vertices split each residual degree vector, one matrix product over
+pairs of vertices; every dilation's count is a masked sum of their
+products.
 Floating interpolation is hopeless at degree 9 and up; everything here
-is integer and Fraction arithmetic.
+is integer and Fraction arithmetic, apart from that one matrix product,
+whose float64 sums are integers below 2^53 and so exact.
 """
 
 from __future__ import annotations
@@ -208,8 +211,9 @@ def _graded_vertices(edges: list[tuple[int, int]]) -> tuple[set[int], int]:
     return {v for edge in edges for v in edge}, 2
 
 
-# numpy's ufunc buffers (8192 elements each) and the DP's own bookkeeping,
-# on top of the state arrays; measured at up to 133 KiB (float w)
+# numpy's ufunc buffers (8192 elements each) and a kernel's own
+# bookkeeping, on top of the arrays its peak walk counts; measured at up to
+# 133 KiB (the DP, float w) and 195 KiB (the gamma degree table)
 _DP_SCRATCH_BYTES = 1 << 18
 
 
@@ -330,12 +334,6 @@ def _capped_degree_dp(
     return tuple(coefficients + [0] * (n * L // 2 + 1 - len(coefficients)))
 
 
-# The degree table for gamma_sym holds one int64 per degree vector of
-# K_{2k-1} in [0, D]^(2k-1); 2^24 entries (128 MiB) admit the k = 3 Ehrhart
-# range, D = 24 (25^5 entries, 75 MiB), and one dilation beyond it.
-_DEGREE_TABLE_ENTRY_GUARD = 2**24
-
-
 def _degree_table(m: int, D: int) -> np.ndarray:
     """G[r] = edge weightings of K_m with degree vector r, for r in [0, D]^m.
 
@@ -358,38 +356,109 @@ def _degree_table(m: int, D: int) -> np.ndarray:
     return table
 
 
+def _pair_profiles(D: int, spread: int) -> np.ndarray:
+    """U[(c1, c2), 2 delta + spread] = #{0 <= e <= c : e1 + e2 = (c1 + c2) / 2 + delta}.
+
+    A pair of caps with sum sigma splits j as e1 + e2 in
+    min(j, sigma - j, c1, c2) + 1 ways for 0 <= j <= sigma, a profile
+    symmetric about sigma / 2.  It is indexed by the offset delta from
+    there, half-integral when sigma is odd, for |2 delta| <= spread.
+    """
+    c = np.arange(D + 1)
+    sigma = np.add.outer(c, c).reshape(-1, 1)
+    low = np.minimum.outer(c, c).reshape(-1, 1)
+    two_j = np.arange(-spread, spread + 1) + sigma
+    j = two_j >> 1
+    U = np.minimum(np.minimum(j, sigma - j), low) + 1
+    U[(two_j % 2 == 1) | (j < 0) | (j > sigma)] = 0
+    return U.astype(np.float64)
+
+
+def _closure_table(k: int, D: int) -> np.ndarray:
+    """M(c) = #{0 <= e <= c : sum(e) = sum(c) / 2} for c in [0, D]^(2k-2), as floats.
+
+    With the caps paired as (c1, c2) and (c3, c4), M sums the first pair's
+    profile at sigma_p / 2 + delta against the second's at
+    sigma_q / 2 - delta, which by symmetry is its profile at +delta: M is
+    the matrix product U U^T over the pair index, with |2 delta| <= 2D.
+    Every partial sum is an integer at most (D + 1)^3, so the float64
+    product is exact.  With one pair (k = 2) M is the profile at delta = 0.
+    """
+    if k == 2:
+        return _pair_profiles(D, 0).reshape(D + 1, D + 1)
+    U = _pair_profiles(D, 2 * D)
+    return (U @ U.T).reshape((D + 1,) * 4)
+
+
+def _gamma_peak_bytes(k: int, T: int) -> int:
+    """Most bytes the gamma_sym(k) counts for t = 0..T hold at once.
+
+    With m = 2k - 2, D = 2T and E = (D + 1)^m cells of 8 bytes: the degree
+    table holds its last two stages, E / (D + 1) and E cells; the pair
+    profiles, (D + 1)^2 rows of 4D + 1 (of 1 at k = 2), are built through
+    at most four int64 arrays of their size and three bool ones next to G;
+    U is alive while the product M forms next to G; and the last dilation
+    holds G, M, its int64 terms and a bool mask of E cells, then its
+    E / (D + 1) row sums as int64 and as Python ints (at most 32 bytes and
+    a list slot).
+    """
+    m, D = 2 * k - 2, 2 * T
+    cells = (D + 1) ** m
+    rows = cells // (D + 1)
+    profile = (D + 1) ** 2 * (4 * D + 1 if k == 3 else 1)
+    peak = max(
+        8 * (rows + cells),
+        8 * cells + 35 * profile,
+        8 * (2 * cells + profile),
+        24 * cells + max(cells, 48 * rows),
+    )
+    return peak + _DP_SCRATCH_BYTES
+
+
 @cache
 def _gamma_counts(k: int, T: int) -> tuple[int, ...]:
     """Lattice points of the t-th gamma_sym(k) dilation for t = 0..T.
 
-    The last vertex of K_{2k} is eliminated in closed form: its 2k-1
-    edges take 2t - s_a from a weighting of K_{2k-1} with degrees s, so
-    the count is the sum of G(s) over s in [0, 2t]^(2k-1) with
-    sum(s) = 2t(2k-2).
+    The last two vertices a, b of K_{2k} are eliminated in closed form.  A
+    weighting of K_{2k-2} with degrees s leaves each vertex i the residual
+    c_i = 2t - s_i, which its edges to a and b split as e_i + g_i.  Both a
+    and b have degree 2t, so sum(e) = sum(g) = 2t - f with f the weight of
+    the edge ab: e takes half of sum(c), and f = 2t - sum(c) / 2 must not
+    be negative.  Hence count(t) is the sum over s in [0, 2t]^(2k-2) of
+    G(s) M(2t - s) [sum(2t - s) <= 4t], with G the degree table of K_{2k-2}
+    and M the closure table.  Each row sum of at most 2t + 1 terms is an
+    int64, and the rows are added as Python ints.
     """
-    m, D = 2 * k - 1, 2 * T
-    entries = (D + 1) ** m
-    if entries > _DEGREE_TABLE_ENTRY_GUARD:
+    m, D = 2 * k - 2, 2 * T
+    peak = _gamma_peak_bytes(k, T)
+    if peak > _MEMORY_GUARD:
         raise ResourceLimitError(
-            f"gamma_sym({k}) dilation {T} needs a degree table of {entries} entries, past "
-            f"the {_DEGREE_TABLE_ENTRY_GUARD}-entry guard on memory (8 bytes per entry)"
+            f"gamma_sym({k}) dilation {T} needs {peak >> 20} MiB for its degree and closure "
+            f"tables at their peak, past the {_MEMORY_GUARD >> 20} MiB guard on memory"
         )
-    # an entry counts weightings of at most C(m, 2) edges, each in [0, D]
-    bound = (D + 1) ** math.comb(m, 2)
+    # G counts weightings of C(m, 2) edges in [0, D], and M choices of m - 1
+    # free entries in [0, D]; a row sum adds at most D + 1 of their products
+    bound = (D + 1) ** (math.comb(m, 2) + m)
     if bound >= 2**63:
         raise ResourceLimitError(
-            f"gamma_sym({k}) dilation {T}: entries of the degree table may reach "
-            f"{bound}, past the 2^63 int64 range"
+            f"gamma_sym({k}) dilation {T}: row sums of the count may reach "
+            f"2^{math.log2(bound):.1f}, past the 2^63 int64 range"
         )
-    table = _degree_table(m, D)
-    # level[s] = sum(s), small enough for int16 (at most m * D)
-    level = np.zeros((), dtype=np.int16)
-    for _ in range(m):
-        level = np.add.outer(level, np.arange(D + 1, dtype=np.int16))
+    G = _degree_table(m, D)
+    M = _closure_table(k, D)
+    sigma = np.add.outer(np.arange(D + 1), np.arange(D + 1))
     counts = []
     for t in range(T + 1):
         box = (slice(0, 2 * t + 1),) * m
-        counts.append(sum(table[box][level[box] == 2 * t * (m - 1)].tolist()))
+        residual = (slice(2 * t, None, -1),) * m
+        terms = M[residual].astype(np.int64)
+        terms *= G[box]
+        if m == 4:
+            # the residual pair sums sigma_p + sigma_q may not pass 4t
+            pair = sigma[residual[:2]]
+            terms[np.less.outer(4 * t - pair, pair)] = 0
+        counts.append(sum(terms.sum(axis=-1).ravel().tolist()))
+        del terms  # before the next, larger box is built
     return tuple(counts)
 
 

@@ -340,14 +340,11 @@ def mc_truncated_moment(
             f"past the {_HAAR_OP_GUARD:.0e} guard on run time"
         )
     nthreads = resolve_threads(threads)
-    zpow = (-q.z_abs) ** np.arange(L + 1)
     vals = np.empty(samples, dtype=np.float64)
 
     def work(lo: int, hi: int):
         for start, c in _secular_blocks(N, L, seed, lo, hi):
-            # one dot per row: a stacked c @ zpow rounds differently
-            for i, row in enumerate(c, start):
-                vals[i] = abs(np.dot(row, zpow)) ** (2 * k)
+            _abs_powers(c, k, q.z_abs, vals[start : start + len(c)])
 
     if nthreads == 1:
         work(0, samples)
@@ -355,6 +352,19 @@ def mc_truncated_moment(
         step = -(-samples // nthreads)
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             list(pool.map(lambda lo: work(lo, min(lo + step, samples)), range(0, samples, step)))
+    return _sample_estimate(vals, seed)
+
+
+def _abs_powers(c: np.ndarray, k: int, z_abs: float, out: np.ndarray) -> None:
+    """out[i] = |sum_j c[i, j] (-|z|)^j|^(2k), for the draws' rows c_0..c_L of c."""
+    zpow = (-z_abs) ** np.arange(c.shape[1])
+    # one dot per row: a stacked c @ zpow rounds differently
+    for i, row in enumerate(c):
+        out[i] = abs(np.dot(row, zpow)) ** (2 * k)
+
+
+def _sample_estimate(vals: np.ndarray, seed: int) -> MomentEstimate:
+    samples = len(vals)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return MomentEstimate(mean=mean, stderr=stderr, trials=samples, seed=seed)
@@ -379,7 +389,17 @@ def unitary_asymptotic_rhs(k: int, L: int, z_abs: float) -> float:
 
 
 def so_asymptotic_rhs(k: int, L: int, z_abs: float) -> float:
-    """gamma(k) / (1 - |z|^-1)^(2k) * |z|^(2kL) L^(2k^2-3k) for k in {2, 3}.
+    """gamma(k) [(1 - y)^(-2k) + (1 + y)^(-2k)] |z|^(2kL) L^(2k^2-3k), y = 1/|z|, k in {2, 3}.
+
+    The moment is the lattice sum of |z|^(2W) over the edge weightings of
+    K_{2k} with every degree <= L, W the total weight.  Write the degrees
+    as L - delta_v: then |z|^(2W) = |z|^(2kL) y^(sum delta), since the
+    degrees sum to 2W.  For a fixed deficit vector delta the weightings
+    number 2 gamma(k) L^(2k^2-3k) to leading order in L when sum delta is
+    even (the factor 2 is the even-sublattice factor ``gamma_constant``
+    divides out) and none when it is odd.  The even part of the sum of
+    y^(sum delta) over delta >= 0 is [(1 - y)^(-2k) + (1 + y)^(-2k)] / 2,
+    which gives the constant.
 
     k = 1 has no degree polytope; it falls back to the exact geometric
     limit |z|^(2L) / (1 - |z|^-2) instead.
@@ -388,9 +408,10 @@ def so_asymptotic_rhs(k: int, L: int, z_abs: float) -> float:
     if k == 1:
         return q.z_abs ** (2 * L) / (1.0 - q.z_abs**-2)
     gamma = float(gamma_constant(k))
+    y = 1.0 / q.z_abs
     return (
         gamma
-        / (1.0 - 1.0 / q.z_abs) ** (2 * k)
+        * ((1.0 - y) ** (-2 * k) + (1.0 + y) ** (-2 * k))
         * q.z_abs ** (2 * k * L)
         * float(L) ** (2 * k * k - 3 * k)
     )

@@ -9,9 +9,12 @@ marked strict-xfail on purpose, see the criterion flags for the story.
 
 import math
 
+import numpy as np
 import pytest
 
-from rmfmoments.acceptance import run_criterion
+from rmfmoments.acceptance import _secular_draws, criterion_09, run_criterion
+from rmfmoments.estimates import DEFAULT_SEED
+from rmfmoments.rmt import _secular_blocks, mc_truncated_moment, unitary_truncated_moment_exact
 
 
 def check(number):
@@ -62,6 +65,26 @@ def test_criterion_08_contour_routes():
 def test_criterion_09_haar_sampling():
     res = check(9)
     assert res.seconds < 120
+
+
+@pytest.mark.parametrize("seed", [0, 1, DEFAULT_SEED])
+def test_criterion_09_one_pass_equals_two_passes(seed):
+    # c_1 from an L = 1 pass and the estimate of a second, L = 3 pass over
+    # the same draws: the one L = 3 pass must give both bit for bit
+    n = 10_000
+    c1 = np.concatenate([c[:, 1] for _, c in _secular_blocks(8, 1, seed, 0, n)])
+    est = mc_truncated_moment("unitary", 2, 3, 1.5, N=8, samples=n, seed=seed)
+    one_c1, one_est = _secular_draws(seed)
+    assert np.array_equal(one_c1, c1) and one_est == est
+    m2, m4 = np.abs(c1) ** 2, np.abs(c1) ** 4
+    se2 = m2.std(ddof=1) / math.sqrt(n)
+    se4 = m4.std(ddof=1) / math.sqrt(n)
+    exact = unitary_truncated_moment_exact(2, 3, 1.5)
+    detail = (
+        f"E|c1|^2 = {m2.mean():.4f} (se {se2:.4f}); E|c1|^4 = {m4.mean():.4f} (se {se4:.4f}); "
+        f"DP {exact:.4f} vs MC {est.mean:.4f} (se {est.stderr:.4f})"
+    )
+    assert criterion_09(seed).detail == detail
 
 
 def test_criterion_10_unitary_trend():

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmfmoments.arith import primes_up_to
 from rmfmoments.errors import ResourceLimitError
 from rmfmoments.exact_counts import (
     _TOTIENT_STEP_GUARD,
     _totient_cutoff,
     _totient_table,
+    _walsh_hadamard,
     char_moment_average,
     congruence_count,
     product_multiplicity_map,
@@ -160,6 +162,16 @@ def test_energy_k2_equals_full_totient_sum(x):
     assert steinhaus_energy(2, x).value == int(np.dot(weights, floors * floors))
 
 
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 9, 25, 97, 1000, 12345, 2 * 10**6])
+def test_totient_table_equals_per_prime_sieve(x):
+    # every prime <= x with its two strided slices, against the table that
+    # sieves only to sqrt(x) and divides out the one large prime cofactor
+    phi = np.arange(x + 1, dtype=np.int64)
+    for p in primes_up_to(x).tolist():
+        phi[p::p] -= phi[p::p] // p
+    assert np.array_equal(_totient_table(x), phi)
+
+
 def test_energy_k2_int64_sums_bounded_at_guard():
     # the recursion's int64 partial sums stay under 2 x (y + 1) for the
     # largest x the guard on run time admits
@@ -258,6 +270,17 @@ def test_sign_enum_large_primes_equal_tuple_count(k, x):
     # x = 178 and 193 fill the largest Walsh table, 2^24 int8 cells, where
     # S_small reaches 92 and 98
     assert rademacher_moment_sign_enum(k, x) == rademacher_moment_tuple_count(k, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 256])
+def test_walsh_hadamard_equals_hadamard_matrix(n):
+    # the levels run out of order, the low ones on a transpose: the
+    # transform must still be H_n a in the original cell order
+    a = np.random.default_rng(n).integers(-5, 6, n)
+    hadamard = np.ones((1, 1), dtype=np.int64)
+    while len(hadamard) < n:
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+    assert np.array_equal(_walsh_hadamard(a.copy()), hadamard @ a)
 
 
 def test_sign_enum_guard():

@@ -279,13 +279,62 @@ def test_gamma_k3_dilation_counts_pinned():
 
 
 def test_gamma_far_dilation_refused_before_allocating(monkeypatch):
-    # t = 40 needs 81^5 table entries: refused on memory
-    with pytest.raises(ResourceLimitError, match="guard on memory"):
-        lattice_count(gamma_sym(3), 40)
-    # with the memory guard lifted, the int64 value bound refuses instead
-    monkeypatch.setattr(polytopes, "_DEGREE_TABLE_ENTRY_GUARD", 10**12)
-    with pytest.raises(ResourceLimitError, match="int64 range"):
-        lattice_count(gamma_sym(3), 40)
+    tracemalloc.start()
+    try:
+        # t = 40 holds 81^4-cell degree and closure tables: refused on memory
+        with pytest.raises(ResourceLimitError, match="guard on memory"):
+            lattice_count(gamma_sym(3), 40)
+        # with the memory guard lifted, the int64 bound on a row sum,
+        # 81^6 81^3 81 > 2^63, refuses instead
+        monkeypatch.setattr(polytopes, "_MEMORY_GUARD", 1 << 62)
+        with pytest.raises(ResourceLimitError, match="int64 range"):
+            lattice_count(gamma_sym(3), 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _gamma_counts_one_vertex_closed(k, T):
+    # the K_{2k-1} degree table with only the last vertex closed: its
+    # edges take 2t - s_a, so the count is the sum of G(s) over
+    # s in [0, 2t]^(2k-1) with sum(s) = 2t (2k - 2)
+    m, D = 2 * k - 1, 2 * T
+    table = polytopes._degree_table(m, D)
+    level = np.zeros((), dtype=np.int16)
+    for _ in range(m):
+        level = np.add.outer(level, np.arange(D + 1, dtype=np.int16))
+    counts = []
+    for t in range(T + 1):
+        box = (slice(0, 2 * t + 1),) * m
+        counts.append(sum(table[box][level[box] == 2 * t * (m - 1)].tolist()))
+    return tuple(counts)
+
+
+def test_gamma_two_vertex_closure_equals_one_vertex_table():
+    for k, T in ((2, 12), (3, 13)):
+        assert polytopes._gamma_counts(k, T) == _gamma_counts_one_vertex_closed(k, T)
+
+
+def test_gamma_far_dilations_follow_ehrhart_polynomial():
+    # dilations past the Ehrhart range t <= 12, whose counts alone fix the
+    # degree-9 polynomial
+    poly = ehrhart_polynomial(gamma_sym(3))
+    assert lattice_count(gamma_sym(3), 20) == poly(20)
+    far = polytopes._gamma_counts(3, 20)
+    assert all(far[t] == poly(t) for t in range(13, 21))
+
+
+@pytest.mark.parametrize("k,T", [(2, 40), (3, 6), (3, 16)])
+def test_gamma_counts_peak_within_prediction(k, T):
+    predicted = polytopes._gamma_peak_bytes(k, T)
+    tracemalloc.start()
+    try:
+        polytopes._gamma_counts.__wrapped__(k, T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert predicted // 2 < peak <= predicted
 
 
 def test_lattice_count_monotone_in_t():
