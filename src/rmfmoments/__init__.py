@@ -52,14 +52,10 @@ from .polytopes import (
     gamma_constant,
     gamma_sym,
     lattice_count,
-    mc_volume,
     relative_volume,
 )
 from .rmt import (
-    SecularSample,
-    TruncatedMomentQuery,
     I1_two_ways,
-    haar_unitary_secular,
     hyper_Fk,
     mc_truncated_moment,
     so_asymptotic_rhs,

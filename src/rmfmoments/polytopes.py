@@ -45,7 +45,6 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ResourceLimitError
-from .estimates import MomentEstimate, trial_rng
 from .exact_counts import _MEMORY_GUARD
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "beta_constant",
     "alpha_constant",
     "gamma_constant",
-    "mc_volume",
     "count_margin_matrices",
 ]
 
@@ -215,10 +213,22 @@ def _graded_vertices(edges: list[tuple[int, int]]) -> tuple[set[int], int]:
 # bookkeeping, on top of the arrays its peak walk counts; measured at up to
 # 133 KiB (the DP, float w) and 195 KiB (the gamma degree table)
 _DP_SCRATCH_BYTES = 1 << 18
+# A capped-degree DP costs 2-10 ns per cell update that ``_dp_cost`` counts,
+# at states of 10^6 cells and up (Python 3.11, numpy 2.4, 2-vCPU KVM guest):
+# 2-5 ns for exact counts, up to 10 ns for a float w over many short axes.
+# Its Python-level steps, 15-35 us each, add at most about 0.1 s inside the
+# vertex and memory guards, so only cells count.  The guard is at most
+# about 10 s of DP.  It admits unitary k = 3 at
+# L = 89 (9.2e8 updates, 3.6 s exact) and k = 4 at L = 32 (6.9e8, 3.5 s with
+# a float w); it refuses k = 11 at L = 3 (1.4e9 updates, 12.7 s with a float
+# w) and k = 12 at L = 3, whose edge steps sweep states of up to 512 MiB.
+_DP_CELL_GUARD = 10**9
+# the most axes a numpy array may have before numpy 2
+_NUMPY_MAX_AXES = 32
 
 
-def _dp_peak_bytes(edges: list[tuple[int, int]], L: int, graded: set[int]) -> int:
-    """Most bytes the capped-degree DP holds at once, from its schedule alone.
+def _dp_cost(edges: list[tuple[int, int]], L: int, graded: set[int]) -> tuple[int, int]:
+    """Peak bytes and cell updates of the capped-degree DP, from its schedule alone.
 
     The state is the accumulator (length 1 until a graded vertex closes, L
     longer after each) times L + 1 per open vertex, 8 bytes a cell.
@@ -226,38 +236,68 @@ def _dp_peak_bytes(edges: list[tuple[int, int]], L: int, graded: set[int]) -> in
     one is alive, so each counts both.  The state only grows when a vertex
     opens, so an edge step's temporary, one diagonal slice of at most
     1/(L + 1) of the state, fits under the opening before it.
+
+    An opening writes the new state, a close reads the old one and writes
+    the new, and each of an edge step's L slice adds updates 1/(L + 1)^2 of
+    the state.
     """
     last = {v: e for e, edge in enumerate(edges) for v in edge}
     opened: set[int] = set()
-    acc, axes, peak = 1, 0, 1
+    acc, axes, peak, cells = 1, 0, 1, 0
     for e, edge in enumerate(edges):
         for v in edge:
             if v not in opened:
                 opened.add(v)
                 peak = max(peak, acc * (L + 1) ** axes * (L + 2))
                 axes += 1
+                cells += acc * (L + 1) ** axes
+        cells += acc * (L + 1) ** (axes - 2) * L * L
         for v in edge:
             if last[v] == e:
                 old = acc * (L + 1) ** axes
                 axes -= 1
                 acc += L * (v in graded)
                 peak = max(peak, old + acc * (L + 1) ** axes)
-    return 8 * peak + _DP_SCRATCH_BYTES
+                cells += old + acc * (L + 1) ** axes
+    return 8 * peak + _DP_SCRATCH_BYTES, cells
+
+
+def _check_dp_vertices(n: int) -> None:
+    """Refuse a capped-degree DP on more vertices than its state can have axes.
+
+    The state has an axis per open vertex and the accumulator's, and numpy
+    arrays hold at most ``_NUMPY_MAX_AXES``.  A caller that builds an edge
+    list from a vertex count calls this before the list exists.
+    """
+    if n >= _NUMPY_MAX_AXES:
+        raise ResourceLimitError(
+            f"capped-degree DP on {n} vertices may hold {n + 1} array axes, past the "
+            f"{_NUMPY_MAX_AXES}-axis guard on numpy array dimensions"
+        )
 
 
 def _check_dp_guards(n: int, edges: list[tuple[int, int]], L: int, w) -> None:
     """Refuse a capped-degree DP before it allocates.
 
-    Memory is bounded by ``_dp_peak_bytes``.  Integer counts stay below
+    The vertex count is bounded by ``_check_dp_vertices``, memory and run
+    time by ``_dp_cost``.  Integer counts stay below
     prod_v C(L + a_v, a_v) |w|^(n L/2): give each edge to its first
-    endpoint v, and the a_v edges of v carry at most L.
+    endpoint v, and the a_v edges of v carry at most L.  With w None
+    (exact coefficients) or an integer w every guard applies; with a float
+    w the int64 one does not.
     """
+    _check_dp_vertices(n)
     graded = _graded_vertices(edges)[0] if w is None else set()
-    peak = _dp_peak_bytes(edges, L, graded)
+    peak, cells = _dp_cost(edges, L, graded)
     if peak > _MEMORY_GUARD:
         raise ResourceLimitError(
             f"capped-degree DP on {n} vertices at L = {L} needs {peak >> 20} MiB of state "
             f"at its peak, past the {_MEMORY_GUARD >> 20} MiB guard on memory"
+        )
+    if cells > _DP_CELL_GUARD:
+        raise ResourceLimitError(
+            f"capped-degree DP on {n} vertices at L = {L} makes {cells:.3g} cell updates, "
+            f"past the {_DP_CELL_GUARD:.0e} guard on run time"
         )
     if w is None or isinstance(w, int):
         bound = math.prod(math.comb(L + a, a) for a in Counter(i for i, _ in edges).values())
@@ -415,7 +455,6 @@ def _gamma_peak_bytes(k: int, T: int) -> int:
     return peak + _DP_SCRATCH_BYTES
 
 
-@cache
 def _gamma_counts(k: int, T: int) -> tuple[int, ...]:
     """Lattice points of the t-th gamma_sym(k) dilation for t = 0..T.
 
@@ -462,6 +501,10 @@ def _gamma_counts(k: int, T: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+# k -> the gamma_sym(k) counts of the largest dilation range built so far
+_GAMMA_COUNTS: dict[int, tuple[int, ...]] = {}
+
+
 def lattice_count(spec: PolytopeSpec, t: int) -> int:
     """Exact number of lattice points in the t-th dilation."""
     if t < 0:
@@ -474,9 +517,12 @@ def lattice_count(spec: PolytopeSpec, t: int) -> int:
         return _capped_degree_dp(2 * k - 1, _bipartite_edges(k - 1, k), t)[(k - 1) * t]
     if spec.family == "alpha_box":
         return _capped_degree_dp(2 * k, _bipartite_edges(k, k), t, 1)
-    # gamma_sym: degrees 2t on K_{2k}; one table serves the whole
-    # Ehrhart range, dilations past it get a table of their own
-    return _gamma_counts(k, max(t, spec.dimension + 3))[t]
+    # gamma_sym: degrees 2t on K_{2k}; one build serves the whole Ehrhart
+    # range, and a dilation past every build so far replaces it
+    counts = _GAMMA_COUNTS.get(k, ())
+    if t >= len(counts):
+        counts = _GAMMA_COUNTS[k] = _gamma_counts(k, max(t, spec.dimension + 3))
+    return counts[t]
 
 
 # ---------------------------------------------------------------------------
@@ -606,43 +652,3 @@ def gamma_constant(k: int) -> Fraction:
     spec = gamma_sym(k)
     ell = relative_volume(spec)
     return ell / 2 ** (spec.dimension + 1)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo cross-check
-
-
-def mc_volume(spec: PolytopeSpec, samples: int, seed: int) -> MomentEstimate:
-    """Stochastic volume estimate for the families with at-most constraints.
-
-    beta_mixed: each equality row is sampled uniformly from the standard
-    simplex (normalized exponential spacings) and the column caps decide
-    acceptance; the estimate is the simplex-volume product times the
-    acceptance rate.  alpha_box: plain rejection from the unit box.
-    """
-    if samples < 1000:
-        raise ValueError("samples must be at least 1000")
-    if spec.family not in ("beta_mixed", "alpha_box"):
-        raise ValueError("mc_volume supports beta_mixed and alpha_box only")
-    rng = trial_rng(seed, 0)
-    k = spec.k
-    if spec.family == "beta_mixed":
-        if k == 1:
-            return MomentEstimate(mean=1.0, stderr=0.0, trials=samples, seed=seed)
-        e = rng.exponential(size=(samples, k - 1, k))
-        rows = e / e.sum(axis=2, keepdims=True)
-        accept = (rows.sum(axis=1) <= 1.0).all(axis=1)
-        scale = (1.0 / math.factorial(k - 1)) ** (k - 1)
-    else:
-        u = rng.random(size=(samples, k, k))
-        ok_rows = (u.sum(axis=2) <= 1.0).all(axis=1)
-        ok_cols = (u.sum(axis=1) <= 1.0).all(axis=1)
-        accept = ok_rows & ok_cols
-        scale = 1.0
-    hits = int(accept.sum())
-    p = hits / samples
-    if hits == 0:
-        # one-sided rule-of-three bound in place of a vanishing stderr
-        return MomentEstimate(mean=0.0, stderr=scale * 3.0 / samples, trials=samples, seed=seed)
-    se = scale * math.sqrt(p * (1.0 - p) / samples)
-    return MomentEstimate(mean=scale * p, stderr=se, trials=samples, seed=seed)

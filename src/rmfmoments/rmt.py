@@ -9,11 +9,13 @@ degrees at most L and weight z^(2 total).  A k x k matrix is an edge
 weighting of the bipartite graph K_{k,k}, so both are sums over edge
 weightings with every vertex degree at most L, and one dynamic program
 over residual vertex capacities, taken edge by edge, evaluates both.
-Within documented budgets it returns exact integer coefficients of the
-powers of w, read off the degrees of the vertices as they close (the
+Its own guards (vertex count, memory, run time, int64 range) choose the
+route: where they admit the exact counts it returns integer coefficients
+of the powers of w, read off the degrees of the vertices as they close (the
 rows of K_{k,k}, every vertex of K_{2k} at twice the weight), and only
 the final polynomial evaluation happens in floats; past them it carries
-w itself.
+a float w itself, and past its guards on that route too the moment is
+refused with the resource named.
 
 Monte Carlo counterparts sample Haar unitaries via QR of a complex
 Gaussian matrix with the diagonal-phase correction (the uncorrected QR
@@ -29,9 +31,8 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -42,32 +43,25 @@ from .estimates import MomentEstimate, resolve_threads, trial_rngs
 from .polytopes import (
     _bipartite_edges,
     _capped_degree_dp,
+    _check_dp_guards,
+    _check_dp_vertices,
     _complete_edges,
     beta_constant,
     gamma_constant,
 )
 
 __all__ = [
-    "TruncatedMomentQuery",
-    "SecularSample",
     "unitary_truncated_coefficients",
     "unitary_truncated_moment_exact",
     "so_truncated_coefficients",
     "so_truncated_moment_exact",
     "hyper_Fk",
     "I1_two_ways",
-    "haar_unitary_secular",
     "mc_truncated_moment",
     "unitary_asymptotic_rhs",
     "so_asymptotic_rhs",
 ]
 
-# group -> k -> (largest L, largest L with exact integer coefficients);
-# past the second, the float-weight DP runs
-_CAPS = {
-    "unitary": {1: (200, 200), 2: (40, 40), 3: (40, 20), 4: (12, 12)},
-    "special_orthogonal": {1: (200, 200), 2: (24, 20), 3: (8, 8)},
-}
 # Haar draws are taken in stacks of at most this many matrix entries:
 # 1024 draws at N = 8, 16 at N = 64
 _BLOCK_ENTRIES = 1 << 16
@@ -82,32 +76,29 @@ _HAAR_DRAW_OPS = 1 << 16
 _HAAR_OP_GUARD = 2 * 10**11
 
 
-@dataclass(frozen=True)
-class TruncatedMomentQuery:
-    group: str
-    k: int
-    L: int
-    z_abs: float
-
-    def __post_init__(self):
-        if self.group not in ("unitary", "special_orthogonal"):
-            raise ValueError("group must be 'unitary' or 'special_orthogonal'")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if self.L < 0:
-            raise ValueError("L must be nonnegative")
-        if not self.z_abs > 1.0:
-            raise ValueError("z_abs must exceed 1")
+def _check_args(k: int, L: int, z_abs: float) -> float:
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if L < 0:
+        raise ValueError("L must be nonnegative")
+    if not z_abs > 1.0:
+        raise ValueError("z_abs must exceed 1")
+    return float(z_abs)
 
 
-def _check_query(group: str, k: int, L: int, z_abs: float) -> TruncatedMomentQuery:
-    q = TruncatedMomentQuery(group=group, k=k, L=L, z_abs=float(z_abs))
-    caps = _CAPS[group]
-    if k not in caps:
-        raise ResourceLimitError(f"{group} moment guard: k={k} unsupported")
-    if L > caps[k][0]:
-        raise ResourceLimitError(f"{group} moment guard: k={k} allows L <= {caps[k][0]}")
-    return q
+def _in_float_range(group: str, k: int, L: int, z_abs: float, value: Callable[[], float]) -> float:
+    """value(), refused with the range named where it overflows or is not finite."""
+    try:
+        result = value()
+    except (OverflowError, FloatingPointError):
+        result = math.inf
+    if not math.isfinite(result):
+        raise ResourceLimitError(
+            f"{group} moment at k = {k}, L = {L}, |z| = {z_abs:g} passes the float range "
+            f"(up to {sys.float_info.max:.3g}); |z|^(2kL) alone is "
+            f"10^{k * L * math.log10(z_abs * z_abs):.0f}"
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -116,37 +107,37 @@ def _check_query(group: str, k: int, L: int, z_abs: float) -> TruncatedMomentQue
 
 def _group_edges(group: str, k: int) -> list[tuple[int, int]]:
     # unitary: the k x k matrix as K_{k,k}; SO(2N): the complete graph K_{2k}
+    _check_dp_vertices(2 * k)
     return _bipartite_edges(k, k) if group == "unitary" else _complete_edges(2 * k)
 
 
 def _coefficients(group: str, k: int, L: int) -> tuple[int, ...]:
-    _check_query(group, k, L, 2.0)
-    cap = _CAPS[group][k][1]
-    if L > cap:
-        raise ResourceLimitError(f"exact coefficient guard: k={k} allows L <= {cap}")
+    _check_args(k, L, math.inf)
     return _capped_degree_dp(2 * k, _group_edges(group, k), L)
 
 
 def _moment_exact(group: str, k: int, L: int, z_abs: float) -> float:
-    q = _check_query(group, k, L, z_abs)
-    w = q.z_abs * q.z_abs
+    z_abs = _check_args(k, L, z_abs)
+    w = z_abs * z_abs
+    edges = _group_edges(group, k)
+    # the exact counts wherever the DP's guards admit them, else a float w
+    try:
+        _check_dp_guards(2 * k, edges, L, None)
+    except ResourceLimitError:
+        exact = False
+    else:
+        exact = True
     # every term, and every entry of the float DP state, is at most the
     # moment, so a float overflow anywhere means the moment passes the range
     cached = unitary_truncated_coefficients if group == "unitary" else so_truncated_coefficients
-    try:
+
+    def value() -> float:
         with np.errstate(over="raise"):
-            if L <= _CAPS[group][k][1]:
-                value = math.fsum(c * w**s for s, c in enumerate(cached(k, L)))
-            else:
-                value = _capped_degree_dp(2 * k, _group_edges(group, k), L, w)
-    except (OverflowError, FloatingPointError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise ResourceLimitError(
-            f"{group} moment at k = {k}, L = {L}, |z| = {q.z_abs:g} passes the float range "
-            f"(up to {sys.float_info.max:.3g}); |z|^(2kL) alone is 10^{k * L * math.log10(w):.0f}"
-        )
-    return value
+            if exact:
+                return math.fsum(c * w**s for s, c in enumerate(cached(k, L)))
+            return _capped_degree_dp(2 * k, edges, L, w)
+
+    return _in_float_range(group, k, L, z_abs, value)
 
 
 @cache
@@ -226,19 +217,6 @@ def I1_two_ways(k: int, z_abs: float) -> tuple[float, float]:
 # Haar sampling and Monte Carlo moments
 
 
-@dataclass(frozen=True)
-class SecularSample:
-    """Secular coefficients c(0..N) of one Haar unitary draw.
-
-    ``flagged`` marks samples whose |c(N)| drifted more than 1e-6 from 1,
-    i.e. visible loss of unitarity in the trace pipeline.
-    """
-
-    N: int
-    coefficients: np.ndarray
-    flagged: bool
-
-
 def _haar_unitaries(N: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
     """One Haar unitary from U(N) per stream, stacked along axis 0.
 
@@ -297,15 +275,6 @@ def _secular_blocks(
         yield start, _secular_head(u, L)
 
 
-def haar_unitary_secular(N: int, rng: np.random.Generator) -> SecularSample:
-    """One Haar draw from U(N) with its full vector of secular coefficients."""
-    if not 1 <= N <= 64:
-        raise ValueError("N must lie in 1..64")
-    coeffs = _secular_head(_haar_unitaries(N, [rng]), N)[0]
-    drift = abs(abs(coeffs[N]) - 1.0)
-    return SecularSample(N=N, coefficients=coeffs, flagged=drift > 1e-6)
-
-
 def mc_truncated_moment(
     group: str,
     k: int,
@@ -325,7 +294,7 @@ def mc_truncated_moment(
     """
     if group != "unitary":
         raise ValueError("Monte Carlo moments are implemented for the unitary group only")
-    q = _check_query("unitary", k, L, z_abs)
+    z_abs = _check_args(k, L, z_abs)
     if N < k * L:
         raise ValueError(f"N={N} is below the validity threshold k*L={k * L}")
     if not 1 <= N <= 64:
@@ -344,7 +313,7 @@ def mc_truncated_moment(
 
     def work(lo: int, hi: int):
         for start, c in _secular_blocks(N, L, seed, lo, hi):
-            _abs_powers(c, k, q.z_abs, vals[start : start + len(c)])
+            _abs_powers(c, k, z_abs, vals[start : start + len(c)])
 
     if nthreads == 1:
         work(0, samples)
@@ -381,11 +350,13 @@ def unitary_asymptotic_rhs(k: int, L: int, z_abs: float) -> float:
     collapses to 1, matching the exact closed form of the k=1 DP.
     L = 0 with k >= 2 evaluates to 0 (asymptotic regime only).
     """
-    q = _check_query("unitary", k, L, z_abs)
-    u = 1.0 - q.z_abs**-2
+    z_abs = _check_args(k, L, z_abs)
+    u = 1.0 - z_abs**-2
     beta = float(beta_constant(k))
-    prefactor = beta * hyper_Fk(k, q.z_abs) * math.gamma(2 * k - 1) / (math.gamma(k) ** 2 * u ** (2 * k - 1))
-    return prefactor * q.z_abs ** (2 * k * L) * float(L) ** ((k - 1) ** 2)
+    prefactor = beta * hyper_Fk(k, z_abs) * math.gamma(2 * k - 1) / (math.gamma(k) ** 2 * u ** (2 * k - 1))
+    return _in_float_range(
+        "unitary", k, L, z_abs, lambda: prefactor * z_abs ** (2 * k * L) * float(L) ** ((k - 1) ** 2)
+    )
 
 
 def so_asymptotic_rhs(k: int, L: int, z_abs: float) -> float:
@@ -404,14 +375,13 @@ def so_asymptotic_rhs(k: int, L: int, z_abs: float) -> float:
     k = 1 has no degree polytope; it falls back to the exact geometric
     limit |z|^(2L) / (1 - |z|^-2) instead.
     """
-    q = _check_query("special_orthogonal", k, L, z_abs)
+    z_abs = _check_args(k, L, z_abs)
+    group = "special_orthogonal"
     if k == 1:
-        return q.z_abs ** (2 * L) / (1.0 - q.z_abs**-2)
+        return _in_float_range(group, k, L, z_abs, lambda: z_abs ** (2 * L) / (1.0 - z_abs**-2))
     gamma = float(gamma_constant(k))
-    y = 1.0 / q.z_abs
-    return (
-        gamma
-        * ((1.0 - y) ** (-2 * k) + (1.0 + y) ** (-2 * k))
-        * q.z_abs ** (2 * k * L)
-        * float(L) ** (2 * k * k - 3 * k)
+    y = 1.0 / z_abs
+    prefactor = gamma * ((1.0 - y) ** (-2 * k) + (1.0 + y) ** (-2 * k))
+    return _in_float_range(
+        group, k, L, z_abs, lambda: prefactor * z_abs ** (2 * k * L) * float(L) ** (2 * k * k - 3 * k)
     )

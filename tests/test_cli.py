@@ -137,8 +137,10 @@ def test_bad_flag_exit_2(capsys):
 
 
 def test_resource_refusal_exit_3(capsys):
-    assert main(["rmt", "--k", "2", "--L", "400", "--z", "1.5"]) == 3
-    capsys.readouterr()
+    assert main(["rmt", "--k", "2", "--L", "4000", "--z", "1.5"]) == 3
+    assert "guard on memory" in capsys.readouterr().err
+    assert main(["rmt", "--k", "12", "--L", "3", "--z", "1.5"]) == 3
+    assert "guard on run time" in capsys.readouterr().err
     assert main(["rmt", "--k", "1", "--L", "200", "--z", "100"]) == 3
     assert "float range" in capsys.readouterr().err
     assert main(["simulate", "--x", "100000000", "--trials", "200"]) == 3

@@ -13,7 +13,7 @@ from rmfmoments.polytopes import (
     _bipartite_edges,
     _capped_degree_dp,
     _complete_edges,
-    _dp_peak_bytes,
+    _dp_cost,
     _graded_vertices,
     alpha_box,
     alpha_constant,
@@ -25,7 +25,6 @@ from rmfmoments.polytopes import (
     gamma_constant,
     gamma_sym,
     lattice_count,
-    mc_volume,
     relative_volume,
 )
 
@@ -214,7 +213,7 @@ def test_graded_dp_equals_weight_axis_reference(n, edges, L_max):
     ids=["unitary-k3", "so-k3", "beta_mixed-k4"],
 )
 def test_graded_dp_peak_within_prediction(n, edges, L):
-    predicted = _dp_peak_bytes(edges, L, _graded_vertices(edges)[0])
+    predicted = _dp_cost(edges, L, _graded_vertices(edges)[0])[0]
     tracemalloc.start()
     try:
         _capped_degree_dp(n, edges, L)
@@ -243,6 +242,14 @@ def test_graded_dp_refused_before_allocating(count):
     assert peak < 1 << 20
 
 
+def test_graded_dp_run_time_guard_between_measured_inputs():
+    # with a float w, unitary k = 10 at L = 3 (2.9e8 cell updates) ran in
+    # 3 s and k = 11 (1.4e9) in 13 s; the guard admits the first only
+    polytopes._check_dp_guards(20, _bipartite_edges(10, 10), 3, 2.25)
+    with pytest.raises(ResourceLimitError, match="guard on run time"):
+        polytopes._check_dp_guards(22, _bipartite_edges(11, 11), 3, 2.25)
+
+
 def test_gamma_counts_equal_capped_dp_on_one_vertex_fewer():
     # the last vertex of K_{2k} takes the slack: its edges carry 2t - s_a,
     # so the other 2k - 1 vertices have degrees <= 2t and total weight
@@ -261,11 +268,23 @@ def test_gamma_k2():
 def test_k4_edge_counts_quadratic():
     # degree-constrained nonnegative edge weights on K_4 with every vertex
     # at degree 2t: the count is (2t+1)(t+1).  t <= 5 is the Ehrhart range
-    # (dimension + 3), read from one shared table; each t past it builds
-    # a table of its own
+    # (dimension + 3), read from one shared build; each t past the largest
+    # build so far replaces it
     spec = gamma_sym(2)
     for t in range(13):
         assert lattice_count(spec, t) == (2 * t + 1) * (t + 1)
+
+
+def test_gamma_counts_served_from_largest_build(monkeypatch):
+    # a dilation inside any earlier build reads it; only one past them all
+    # builds the counts again
+    built = []
+    count = polytopes._gamma_counts
+    monkeypatch.setattr(polytopes, "_GAMMA_COUNTS", {})
+    monkeypatch.setattr(polytopes, "_gamma_counts", lambda k, T: built.append(T) or count(k, T))
+    ts = (9, 3, 7, 9, 10, 0)
+    assert [lattice_count(gamma_sym(2), t) for t in ts] == [(2 * t + 1) * (t + 1) for t in ts]
+    assert built == [9, 10]
 
 
 def test_gamma_k3_dilation_counts_pinned():
@@ -330,7 +349,7 @@ def test_gamma_counts_peak_within_prediction(k, T):
     predicted = polytopes._gamma_peak_bytes(k, T)
     tracemalloc.start()
     try:
-        polytopes._gamma_counts.__wrapped__(k, T)
+        polytopes._gamma_counts(k, T)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -357,26 +376,6 @@ def test_relative_volume_positive_rational():
     v = relative_volume(birkhoff(3))
     assert isinstance(v, Fraction)
     assert v > 0
-
-
-def test_mc_volume_agrees_with_exact_alpha2():
-    est = mc_volume(alpha_box(2), samples=200_000, seed=7)
-    exact = float(alpha_constant(2))
-    assert abs(est.mean - exact) <= 3 * est.stderr
-    assert est.stderr < 0.01
-
-
-def test_mc_volume_agrees_with_exact_beta3():
-    est = mc_volume(beta_mixed(3), samples=200_000, seed=11)
-    # beta(3) = 1/8 is the shared leading coefficient; the mc routine
-    # targets the same normalized volume
-    assert abs(est.mean - float(beta_constant(3))) <= 3 * est.stderr
-
-
-def test_mc_volume_deterministic():
-    a = mc_volume(alpha_box(2), samples=50_000, seed=3)
-    b = mc_volume(alpha_box(2), samples=50_000, seed=3)
-    assert a.mean == b.mean and a.stderr == b.stderr
 
 
 def test_gamma_k3_consistent_across_dilations():

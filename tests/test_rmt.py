@@ -18,7 +18,6 @@ from rmfmoments.polytopes import (
 )
 from rmfmoments.rmt import (
     I1_two_ways,
-    haar_unitary_secular,
     hyper_Fk,
     mc_truncated_moment,
     so_asymptotic_rhs,
@@ -56,6 +55,12 @@ def test_unitary_k1_moment_is_geometric_sum():
 def test_unitary_k2_frozen_coefficients():
     assert unitary_truncated_coefficients(2, 1) == (1, 4, 2)
     assert unitary_truncated_coefficients(2, 2) == (1, 4, 10, 8, 3)
+
+
+def test_unitary_k5_partial_permutation_counts():
+    # at L = 1 a matrix is a partial permutation: s rows, s columns and a
+    # bijection between them, C(5, s)^2 s! ways
+    assert unitary_truncated_coefficients(5, 1) == (1, 25, 200, 600, 600, 120)
 
 
 def test_so_k1_moment_is_geometric_sum():
@@ -139,20 +144,59 @@ def test_so_exact_and_coefficients_agree():
 
 
 def test_coefficient_caps_enforced():
-    with pytest.raises(ResourceLimitError):
-        unitary_truncated_moment_exact(2, 400, 1.5)
-    with pytest.raises(ResourceLimitError):
+    # the DP's own guards refuse, on both routes, and name the resource
+    with pytest.raises(ResourceLimitError, match="guard on memory"):
+        unitary_truncated_moment_exact(2, 4000, 1.5)
+    with pytest.raises(ResourceLimitError, match="guard on memory"):
         so_truncated_moment_exact(3, 30, 1.5)
+    with pytest.raises(ResourceLimitError, match="guard on run time"):
+        unitary_truncated_moment_exact(12, 3, 1.5)
+
+
+@pytest.mark.parametrize(
+    "k, L, resource",
+    [
+        # 144 edge steps over states of up to 512 MiB
+        (12, 3, "guard on run time"),
+        # before a list of 4e6 edges is built
+        (2000, 0, "guard on numpy array dimensions"),
+    ],
+)
+def test_moment_guards_refuse_before_allocating(k, L, resource):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=resource):
+            unitary_truncated_moment_exact(k, L, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_moment_route_follows_dp_guards():
+    # k = 6: the int64 bound admits the exact counts up to L = 6; at L = 7
+    # the moment is the float-w DP's, bit for bit
+    z = 1.5
+    w = z * z
+    direct = math.fsum(c * w**s for s, c in enumerate(unitary_truncated_coefficients(6, 6)))
+    assert unitary_truncated_moment_exact(6, 6, z) == direct
+    with pytest.raises(ResourceLimitError, match="int64 range"):
+        unitary_truncated_coefficients(6, 7)
+    assert unitary_truncated_moment_exact(6, 7, z) == _capped_degree_dp(12, _bipartite_edges(6, 6), 7, w)
 
 
 @pytest.mark.parametrize(
     "moment, k, L, z",
     [
-        # exact coefficients, |z|^(2kL) = 10^800
+        # exact coefficients, |z|^(2kL) = 10^800, 10^360 and 10^672
         (unitary_truncated_moment_exact, 1, 200, 100.0),
-        # float DP, 10^360 and 10^672
         (unitary_truncated_moment_exact, 3, 30, 100.0),
         (so_truncated_moment_exact, 2, 24, 1e7),
+        # float DP (int64 refuses the counts), 10^3900
+        (unitary_truncated_moment_exact, 5, 13, 1e30),
+        # asymptotic curves, 10^2400 and 10^1200
+        (unitary_asymptotic_rhs, 2, 600, 100.0),
+        (so_asymptotic_rhs, 1, 300, 100.0),
     ],
 )
 def test_moment_past_float_range_refused(moment, k, L, z):
@@ -210,20 +254,24 @@ def test_magic_counts():
 # --- Haar sampling -----------------------------------------------------------
 
 
+def _one_draw(n, rng):
+    # c_0..c_n of one Haar draw from U(n)
+    return _secular_head(_haar_unitaries(n, [rng]), n)[0]
+
+
 def test_secular_sample_shape_and_endpoints():
     rng = np.random.default_rng(12345)
-    s = haar_unitary_secular(8, rng)
-    assert s.coefficients.shape == (9,)
-    assert s.coefficients[0] == pytest.approx(1.0)
+    c = _one_draw(8, rng)
+    assert c.shape == (9,)
+    assert c[0] == pytest.approx(1.0)
     # c_N is (-1)^N det(U), modulus one
-    assert abs(s.coefficients[8]) == pytest.approx(1.0, abs=1e-10)
-    assert not s.flagged
+    assert abs(c[8]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_secular_sample_deterministic():
-    a = haar_unitary_secular(6, np.random.default_rng(99))
-    b = haar_unitary_secular(6, np.random.default_rng(99))
-    assert np.array_equal(a.coefficients, b.coefficients)
+    a = _one_draw(6, np.random.default_rng(99))
+    b = _one_draw(6, np.random.default_rng(99))
+    assert np.array_equal(a, b)
 
 
 def test_secular_polynomial_matches_determinant():
@@ -234,10 +282,10 @@ def test_secular_polynomial_matches_determinant():
     q, r = np.linalg.qr(g)
     u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     sample_rng = np.random.default_rng(4242)
-    s = haar_unitary_secular(5, sample_rng)
+    s = _one_draw(5, sample_rng)
     for z in (0.3, -0.7 + 0.2j, 1.1j):
         direct = np.linalg.det(np.eye(5) + z * u)
-        series = sum(c * z**m for m, c in enumerate(s.coefficients))
+        series = sum(c * z**m for m, c in enumerate(s))
         assert series == pytest.approx(direct, rel=1e-10)
 
 
@@ -245,9 +293,9 @@ def test_secular_polynomial_matches_determinant():
 @settings(max_examples=25, deadline=None)
 def test_secular_first_coefficient_is_minus_trace(n):
     rng = np.random.default_rng(1000 + n)
-    s = haar_unitary_secular(n, rng)
+    s = _one_draw(n, rng)
     # |c_1| = |tr U| <= N always
-    assert abs(s.coefficients[1]) <= n + 1e-9
+    assert abs(s[1]) <= n + 1e-9
 
 
 def _reference_secular(N, rng):
@@ -277,7 +325,7 @@ def _reference_secular(N, rng):
 def test_secular_coefficients_bit_identical_to_reference(n):
     for t in range(3):
         expected = _reference_secular(n, trial_rng(77, t))
-        assert np.array_equal(haar_unitary_secular(n, trial_rng(77, t)).coefficients, expected)
+        assert np.array_equal(_one_draw(n, trial_rng(77, t)), expected)
     stacked = _secular_head(_haar_unitaries(n, trial_rngs(77, 0, 3)), n)
     for t in range(3):
         assert np.array_equal(stacked[t], _reference_secular(n, trial_rng(77, t)))
@@ -297,13 +345,6 @@ def test_trial_rngs_match_trial_rng():
 def test_secular_blocks_cover_the_range_in_order():
     starts = [(start, c.shape) for start, c in _secular_blocks(64, 2, 1, 3, 40)]
     assert starts == [(3, (16, 3)), (19, (16, 3)), (35, (5, 3))]
-
-
-def test_secular_rejects_bad_n():
-    with pytest.raises(ValueError):
-        haar_unitary_secular(0, np.random.default_rng(1))
-    with pytest.raises(ValueError):
-        haar_unitary_secular(65, np.random.default_rng(1))
 
 
 # --- Monte Carlo moments -----------------------------------------------------
@@ -355,6 +396,9 @@ def test_mc_run_time_guard_refuses_before_allocating():
 def test_mc_requires_enough_matrix():
     with pytest.raises(ValueError):
         mc_truncated_moment("unitary", 2, 5, 1.5, N=8, samples=500, seed=1)
+    # and a matrix of at most 64 rows
+    with pytest.raises(ValueError, match="1..64"):
+        mc_truncated_moment("unitary", 1, 5, 1.5, N=65, samples=500, seed=1)
 
 
 # --- asymptotic reference curves --------------------------------------------
