@@ -33,7 +33,7 @@ from .analytic import (
     steinhaus_asymptotic_rhs,
 )
 from .arith import a_constant, b_constant
-from .estimates import DEFAULT_SEED, MomentEstimate
+from .estimates import DEFAULT_SEED, MomentEstimate, keyed_estimate
 from .exact_counts import (
     char_moment_average,
     congruence_count,
@@ -50,8 +50,9 @@ from .polytopes import (
 )
 from .rmt import (
     _abs_powers,
-    _sample_estimate,
-    _secular_blocks,
+    _haar_block,
+    _haar_unitaries,
+    _secular_head,
     so_truncated_coefficients,
     unitary_asymptotic_rhs,
     unitary_truncated_coefficients,
@@ -276,11 +277,13 @@ def _secular_draws(seed: int) -> tuple[np.ndarray, MomentEstimate]:
     """
     n_samples = 10_000
     c1 = np.empty(n_samples, dtype=np.complex128)
-    vals = np.empty(n_samples, dtype=np.float64)
-    for start, c in _secular_blocks(8, 3, seed, 0, n_samples):
+
+    def fill(start: int, rngs, out: np.ndarray) -> None:
+        c = _secular_head(_haar_unitaries(8, rngs), 3)
         c1[start : start + len(c)] = c[:, 1]
-        _abs_powers(c, 2, 1.5, vals[start : start + len(c)])
-    return c1, _sample_estimate(vals, seed)
+        _abs_powers(c, 2, 1.5, out)
+
+    return c1, keyed_estimate(n_samples, seed, 1, _haar_block(8), fill)
 
 
 def criterion_09(seed: int) -> CriterionResult:

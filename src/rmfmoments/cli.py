@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -170,16 +171,11 @@ def _cmd_constants(args, seed, t0) -> int:
     params = {"name": args.name, "k": args.k}
     if args.name in ("a", "b"):
         if args.name == "a":
-            res = a_constant(args.k)
+            results = asdict(a_constant(args.k))
         else:
             if args.k != int(args.k):
                 raise ValueError("b is defined for integer k")
-            res = b_constant(int(args.k))
-        results = {
-            "value": res.value,
-            "truncation_prime": res.truncation_prime,
-            "tail_bound": res.tail_bound,
-        }
+            results = asdict(b_constant(int(args.k)))
     else:
         if args.k != int(args.k):
             raise ValueError(f"{args.name} is defined for integer k")
@@ -239,12 +235,7 @@ def _cmd_rmt(args, seed, t0) -> int:
         est = mc_truncated_moment(
             args.group, args.k, args.L, args.z, n, args.samples, seed, threads=args.threads
         )
-        results = {
-            "mean": est.mean,
-            "stderr": est.stderr,
-            "trials": est.trials,
-            "seed": est.seed,
-        }
+        results = asdict(est)
     else:  # ratio-table
         l_values = _parse_int_list(args.L_list) if args.L_list else [args.L]
         rows = []
@@ -280,7 +271,7 @@ def _cmd_simulate(args, seed, t0) -> int:
     est = estimate_abs_moment(
         args.model, int(args.x), args.sigma, args.two_k, args.trials, seed, threads=args.threads
     )
-    results = {"mean": est.mean, "stderr": est.stderr, "trials": est.trials, "seed": est.seed}
+    results = asdict(est)
     _emit_payload("simulate", params, results, seed, t0, args.out)
     return 0
 
@@ -338,18 +329,8 @@ def _cmd_verify(args, seed, t0) -> int:
     )
     text = "\n".join(lines) + "\n"
     if args.format == "json":
-        payload_rows = [
-            {
-                "number": r.number,
-                "title": r.title,
-                "passed": r.passed,
-                "detail": r.detail,
-                "seconds": r.seconds,
-                "flags": list(r.flags),
-            }
-            for r in results
-        ]
-        _emit_payload("verify", {"only": numbers}, {"criteria": payload_rows}, seed, t0, args.out)
+        rows = [asdict(r) for r in results]
+        _emit_payload("verify", {"only": numbers}, {"criteria": rows}, seed, t0, args.out)
     else:
         _emit(text, args.out)
     return 0 if not failed else 1

@@ -1,12 +1,16 @@
-"""Common result container, keyed streams and thread count for Monte Carlo estimators."""
+"""The Monte Carlo driver: result container, keyed streams and thread split."""
 
 from __future__ import annotations
 
+import math
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import in_float_range
 
 # default seed for every stochastic entry point; fixed, never time-based
 DEFAULT_SEED = 60493
@@ -65,3 +69,39 @@ def resolve_threads(threads: int) -> int:
     if threads < 0:
         raise ValueError("threads must be >= 0")
     return threads or min(4, os.cpu_count() or 1)
+
+
+def keyed_estimate(
+    trials: int,
+    seed: int,
+    threads: int,
+    block: int,
+    fill: Callable[[int, Iterator[np.random.Generator], np.ndarray], None],
+) -> MomentEstimate:
+    """Mean and stderr of one float64 draw per trial, filled block by block.
+
+    The trials split into one contiguous range per thread and each range
+    into blocks of at most ``block`` trials.  fill(start, rngs, out) writes
+    the draws of trials start .. start + len(out) - 1 to out, trial t from
+    the stream keyed by (seed, t), so the estimate is bit for bit the same
+    at every thread count.  An estimate past the float range is refused.
+    """
+    vals = np.empty(trials, dtype=np.float64)
+    per = -(-trials // resolve_threads(threads))
+
+    def run(lo: int) -> None:
+        hi = min(lo + per, trials)
+        # numpy's error state is per thread, so each range sets its own
+        with np.errstate(over="raise"):
+            for start in range(lo, hi, block):
+                stop = min(start + block, hi)
+                fill(start, trial_rngs(seed, start, stop), vals[start:stop])
+
+    def estimate() -> tuple[float, float]:
+        starts = range(0, trials, per)
+        with ThreadPoolExecutor(max_workers=len(starts)) as pool:
+            list(pool.map(run, starts))
+        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
+
+    mean, stderr = in_float_range(f"Monte Carlo estimate over {trials} trials", estimate)
+    return MomentEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed)

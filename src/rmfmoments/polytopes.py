@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -112,28 +112,11 @@ def gamma_sym(k: int) -> PolytopeSpec:
 
 
 def _compositions(total: int, caps: tuple[int, ...]):
-    """Yield tuples c, 0 <= c_i <= caps_i, sum c = total, with suffix pruning."""
-    n = len(caps)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
-    out = [0] * n
-
-    def rec(i: int, rem: int):
-        if i == n:
-            if rem == 0:
-                yield tuple(out)
-            return
-        if rem > suffix[i]:
-            return
-        lo = max(0, rem - suffix[i + 1])
-        hi = min(caps[i], rem)
-        for c in range(lo, hi + 1):
-            out[i] = c
-            yield from rec(i + 1, rem - c)
-        out[i] = 0
-
-    yield from rec(0, total)
+    """Yield tuples c, 0 <= c_i <= caps_i, sum c = total; the last part is forced."""
+    for head in product(*(range(min(cap, total) + 1) for cap in caps[:-1])):
+        last = total - sum(head)
+        if 0 <= last <= caps[-1]:
+            yield head + (last,)
 
 
 def _bounded_compositions(total: int, caps: tuple[int, ...]) -> int:
@@ -170,8 +153,9 @@ def count_margin_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
         return 0
     if sum(rows) != sum(cols):
         return 0
-    if not rows:
-        return 1 if all(c == 0 for c in cols) else 0
+    if not rows or not cols:
+        # the sums agree, so every margin is 0: one empty matrix
+        return 1
     if len(rows) == 2:
         return _bounded_compositions(rows[0], cols)
     rows = tuple(sorted(rows, reverse=True))

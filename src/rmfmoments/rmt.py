@@ -30,16 +30,14 @@ stack; every coefficient is bit for bit the one a single draw gives.
 from __future__ import annotations
 
 import math
-import sys
-from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterable
 from functools import cache
 
 import numpy as np
 
 from .analytic import hyper_2F1_series
-from .errors import ResourceLimitError
-from .estimates import MomentEstimate, resolve_threads, trial_rngs
+from .errors import ResourceLimitError, in_float_range
+from .estimates import MomentEstimate, keyed_estimate
 from .polytopes import (
     _bipartite_edges,
     _capped_degree_dp,
@@ -87,18 +85,12 @@ def _check_args(k: int, L: int, z_abs: float) -> float:
 
 
 def _in_float_range(group: str, k: int, L: int, z_abs: float, value: Callable[[], float]) -> float:
-    """value(), refused with the range named where it overflows or is not finite."""
-    try:
-        result = value()
-    except (OverflowError, FloatingPointError):
-        result = math.inf
-    if not math.isfinite(result):
-        raise ResourceLimitError(
-            f"{group} moment at k = {k}, L = {L}, |z| = {z_abs:g} passes the float range "
-            f"(up to {sys.float_info.max:.3g}); |z|^(2kL) alone is "
-            f"10^{k * L * math.log10(z_abs * z_abs):.0f}"
-        )
-    return result
+    """value(), refused past the float range with the moment and |z|^(2kL)'s size named."""
+    return in_float_range(
+        f"{group} moment at k = {k}, L = {L}, |z| = {z_abs:g}",
+        value,
+        f"; |z|^(2kL) alone is 10^{k * L * math.log10(z_abs * z_abs):.0f}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +124,9 @@ def _moment_exact(group: str, k: int, L: int, z_abs: float) -> float:
     cached = unitary_truncated_coefficients if group == "unitary" else so_truncated_coefficients
 
     def value() -> float:
-        with np.errstate(over="raise"):
-            if exact:
-                return math.fsum(c * w**s for s, c in enumerate(cached(k, L)))
-            return _capped_degree_dp(2 * k, edges, L, w)
+        if exact:
+            return math.fsum(c * w**s for s, c in enumerate(cached(k, L)))
+        return _capped_degree_dp(2 * k, edges, L, w)
 
     return _in_float_range(group, k, L, z_abs, value)
 
@@ -261,18 +252,9 @@ def _secular_head(u: np.ndarray, L: int) -> np.ndarray:
     return c
 
 
-def _secular_blocks(
-    N: int, L: int, seed: int, lo: int, hi: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(first trial, c_0..c_L of each draw) for the Haar draws of trials lo..hi-1.
-
-    Trial t draws from the stream keyed by (seed, t); the draws are taken
-    in blocks of at most _BLOCK_ENTRIES matrix entries.
-    """
-    step = max(1, _BLOCK_ENTRIES // (N * N))
-    for start in range(lo, hi, step):
-        u = _haar_unitaries(N, trial_rngs(seed, start, min(start + step, hi)))
-        yield start, _secular_head(u, L)
+def _haar_block(N: int) -> int:
+    """Haar draws per block: at most _BLOCK_ENTRIES matrix entries."""
+    return max(1, _BLOCK_ENTRIES // (N * N))
 
 
 def mc_truncated_moment(
@@ -308,20 +290,11 @@ def mc_truncated_moment(
             f"samples ((L+1) N^3 + {_HAAR_DRAW_OPS}) = {ops:.3g} operations, "
             f"past the {_HAAR_OP_GUARD:.0e} guard on run time"
         )
-    nthreads = resolve_threads(threads)
-    vals = np.empty(samples, dtype=np.float64)
 
-    def work(lo: int, hi: int):
-        for start, c in _secular_blocks(N, L, seed, lo, hi):
-            _abs_powers(c, k, z_abs, vals[start : start + len(c)])
+    def fill(start: int, rngs, out: np.ndarray) -> None:
+        _abs_powers(_secular_head(_haar_unitaries(N, rngs), L), k, z_abs, out)
 
-    if nthreads == 1:
-        work(0, samples)
-    else:
-        step = -(-samples // nthreads)
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(lambda lo: work(lo, min(lo + step, samples)), range(0, samples, step)))
-    return _sample_estimate(vals, seed)
+    return keyed_estimate(samples, seed, threads, _haar_block(N), fill)
 
 
 def _abs_powers(c: np.ndarray, k: int, z_abs: float, out: np.ndarray) -> None:
@@ -330,13 +303,6 @@ def _abs_powers(c: np.ndarray, k: int, z_abs: float, out: np.ndarray) -> None:
     # one dot per row: a stacked c @ zpow rounds differently
     for i, row in enumerate(c):
         out[i] = abs(np.dot(row, zpow)) ** (2 * k)
-
-
-def _sample_estimate(vals: np.ndarray, seed: int) -> MomentEstimate:
-    samples = len(vals)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return MomentEstimate(mean=mean, stderr=stderr, trials=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

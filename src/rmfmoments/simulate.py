@@ -18,14 +18,13 @@ thread count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import primes_up_to
 from .errors import ResourceLimitError
-from .estimates import MomentEstimate, resolve_threads, trial_rngs
+from .estimates import MomentEstimate, keyed_estimate
 
 __all__ = ["estimate_abs_moment", "helson_table"]
 
@@ -149,41 +148,33 @@ def estimate_abs_moment(
     primes = primes_up_to(x)
     npr = len(primes)
     table = _fill_table(x, primes, squarefree=model == "rademacher")
-    threads = resolve_threads(threads)
     # a trial's state: its row of complex128 or int8 cells and its share of
     # the two gathers that fill the widest Omega-level
     cell_bytes = 16 if model == "steinhaus" else 1
     widest = max((hi - lo for lo, hi, _, _ in table.levels), default=0)
     chunk = max(1, min(64, _CHUNK_BYTES // (cell_bytes * (x + 1 + 2 * widest))))
-    vals = np.empty(trials, dtype=np.float64)
     # n^-sigma is completely multiplicative, so the fill carries it from f(p)
     weights = primes.astype(np.float64) ** -sigma if sigma else None
 
-    def run_block(lo: int, hi: int):
-        for start in range(lo, hi, chunk):
-            stop = min(start + chunk, hi)
-            u = np.empty((stop - start, npr))
-            for i, rng in enumerate(trial_rngs(seed, start, stop)):
+    def fill(start: int, rngs, out: np.ndarray) -> None:
+        if model == "steinhaus":
+            u = np.empty((len(out), npr))
+            for i, rng in enumerate(rngs):
                 u[i] = rng.random(npr)
-            if model == "steinhaus":
-                f_p = np.exp(2j * np.pi * u)
-                if weights is not None:
-                    f_p *= weights
-            else:
-                f_p = (u < 0.5).astype(np.int8) * 2 - 1
-            s = np.abs(_multiplicative_rows(f_p, table).sum(axis=1))
-            vals[start:stop] = s.astype(np.float64) ** two_k
+            f_p = np.exp(2j * np.pi * u)
+            if weights is not None:
+                f_p *= weights
+        else:
+            # each trial's signs go straight into int8, never through a float64
+            # block of draws eight times the size
+            f_p = np.empty((len(out), npr), dtype=np.int8)
+            for i, rng in enumerate(rngs):
+                f_p[i] = rng.random(npr) < 0.5
+            f_p = f_p * 2 - 1
+        s = np.abs(_multiplicative_rows(f_p, table).sum(axis=1))
+        out[:] = s.astype(np.float64) ** two_k
 
-    if threads == 1:
-        run_block(0, trials)
-    else:
-        per = -(-trials // threads)
-        bounds = [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: run_block(*b), bounds))
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(trials))
-    return MomentEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
+    return keyed_estimate(trials, seed, threads, chunk, fill)
 
 
 def helson_table(

@@ -13,8 +13,13 @@ import numpy as np
 import pytest
 
 from rmfmoments.acceptance import _secular_draws, criterion_09, run_criterion
-from rmfmoments.estimates import DEFAULT_SEED
-from rmfmoments.rmt import _secular_blocks, mc_truncated_moment, unitary_truncated_moment_exact
+from rmfmoments.estimates import DEFAULT_SEED, trial_rngs
+from rmfmoments.rmt import (
+    _haar_unitaries,
+    _secular_head,
+    mc_truncated_moment,
+    unitary_truncated_moment_exact,
+)
 
 
 def check(number):
@@ -72,7 +77,12 @@ def test_criterion_09_one_pass_equals_two_passes(seed):
     # c_1 from an L = 1 pass and the estimate of a second, L = 3 pass over
     # the same draws: the one L = 3 pass must give both bit for bit
     n = 10_000
-    c1 = np.concatenate([c[:, 1] for _, c in _secular_blocks(8, 1, seed, 0, n)])
+    c1 = np.concatenate(
+        [
+            _secular_head(_haar_unitaries(8, trial_rngs(seed, lo, min(lo + 1024, n))), 1)[:, 1]
+            for lo in range(0, n, 1024)
+        ]
+    )
     est = mc_truncated_moment("unitary", 2, 3, 1.5, N=8, samples=n, seed=seed)
     one_c1, one_est = _secular_draws(seed)
     assert np.array_equal(one_c1, c1) and one_est == est

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmfmoments.errors import ResourceLimitError
-from rmfmoments.estimates import trial_rng, trial_rngs
+from rmfmoments.estimates import keyed_estimate, trial_rng, trial_rngs
 from rmfmoments.polytopes import (
     _bipartite_edges,
     _capped_degree_dp,
@@ -28,8 +28,8 @@ from rmfmoments.rmt import (
     unitary_truncated_moment_exact,
 )
 from rmfmoments.rmt import (
+    _haar_block,
     _haar_unitaries,
-    _secular_blocks,
     _secular_head,
 )
 
@@ -343,8 +343,15 @@ def test_trial_rngs_match_trial_rng():
 
 
 def test_secular_blocks_cover_the_range_in_order():
-    starts = [(start, c.shape) for start, c in _secular_blocks(64, 2, 1, 3, 40)]
-    assert starts == [(3, (16, 3)), (19, (16, 3)), (35, (5, 3))]
+    # 37 draws from U(64) in blocks of 16 matrices, as mc_truncated_moment takes them
+    starts = []
+
+    def fill(start, rngs, out):
+        starts.append((start, _secular_head(_haar_unitaries(64, rngs), 2).shape))
+        out[:] = 1.0
+
+    keyed_estimate(37, 1, 1, _haar_block(64), fill)
+    assert starts == [(0, (16, 3)), (16, (16, 3)), (32, (5, 3))]
 
 
 # --- Monte Carlo moments -----------------------------------------------------
@@ -391,6 +398,13 @@ def test_mc_run_time_guard_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_past_float_range_refused(threads):
+    # |Lambda_2(10^100)|^8 is about 10^1600; refused without an overflow RuntimeWarning
+    with pytest.raises(ResourceLimitError, match="float range"):
+        mc_truncated_moment("unitary", 4, 2, 1e100, N=8, samples=100, seed=1, threads=threads)
 
 
 def test_mc_requires_enough_matrix():

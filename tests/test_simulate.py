@@ -182,6 +182,16 @@ def test_estimate_validation():
         estimate_abs_moment("steinhaus", 10**8, 0.0, 2.0, trials=200, seed=1)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("two_k", [400.0, 110.0])
+def test_estimate_past_float_range_refused(two_k, threads):
+    # |S|^400 overflows a draw; at |S|^110 every draw is finite, and so is
+    # the mean, but the squares in the stderr overflow.  Either is refused
+    # without an overflow RuntimeWarning
+    with pytest.raises(ResourceLimitError, match="float range"):
+        estimate_abs_moment("steinhaus", 1000, 0.0, two_k, 100, 1, threads)
+
+
 def test_helson_table_shape_and_fields():
     rows = helson_table([100, 400], trials=150, seed=2)
     assert len(rows) == 2
