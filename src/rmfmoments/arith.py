@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import refuse_past
 
 __all__ = [
     "Factorization",
@@ -44,7 +44,8 @@ __all__ = [
 
 Factorization = list[tuple[int, int]]
 
-# Largest prime cutoff the Euler products will sieve to before refusing.
+# Largest prime table, and so Euler-product cutoff: its bool sieve takes a
+# byte a number, and about 700 MiB at the cap with its negation and the primes
 _MAX_TRUNCATION = 300_000_000
 # One shared, monotonically growing prime table (int64).
 _prime_cache: np.ndarray | None = None
@@ -79,8 +80,7 @@ _prime_cache_limit = 0
 def primes_up_to(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (cached, grown on demand)."""
     global _prime_cache, _prime_cache_limit
-    if limit > _MAX_TRUNCATION:
-        raise ResourceLimitError(f"prime table limit {limit} exceeds {_MAX_TRUNCATION}")
+    refuse_past(f"prime table up to {limit}", limit, _MAX_TRUNCATION, "memory")
     if _prime_cache is None or limit > _prime_cache_limit:
         target = max(limit, 1 << 16)
         composite = np.zeros(target + 1, dtype=bool)
@@ -206,10 +206,7 @@ def _choose_cutoff(m_r: float, r: float, eps: float) -> int:
     P = 100_000
     while _cauchy_fourth_bound(m_r, r, P) >= 0.25 * eps:
         P *= 2
-        if P > _MAX_TRUNCATION:
-            raise ResourceLimitError(
-                f"eps={eps} needs truncation prime beyond {_MAX_TRUNCATION}"
-            )
+        refuse_past(f"Euler product at eps = {eps}, sieved to {P},", P, _MAX_TRUNCATION, "memory")
     return P
 
 

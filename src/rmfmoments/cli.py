@@ -116,14 +116,19 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_payload(command, params, results, seed, t0, out) -> None:
+def _emit_payload(command, params, results, seed, t0, args) -> None:
+    # a table of rows may go out as CSV; any other --format is a usage error
+    if args.format == "csv" and "rows" in results:
+        return _emit(_csv_rows(results["rows"]), args.out)
+    if args.format not in (None, "json"):
+        raise ValueError(f"{command} cannot emit --format {args.format} here")
     payload = {
         "command": command,
         "params": dict(params),
         "results": results,
         "manifest": _manifest(command, params, seed, t0),
     }
-    _emit(_serialize(payload) + "\n", out)
+    _emit(_serialize(payload) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +168,7 @@ def _cmd_count(args, seed, t0) -> int:
             "congruence_count": res.congruence_count,
             "float_error": res.float_error,
         }
-    _emit_payload("count", params, results, seed, t0, args.out)
+    _emit_payload("count", params, results, seed, t0, args)
     return 0
 
 
@@ -206,7 +211,7 @@ def _cmd_constants(args, seed, t0) -> int:
                 "count_leading_coefficient": poly.leading_coefficient,
                 "dimension": poly.degree,
             }
-    _emit_payload("constants", params, results, seed, t0, args.out)
+    _emit_payload("constants", params, results, seed, t0, args)
     return 0
 
 
@@ -243,11 +248,8 @@ def _cmd_rmt(args, seed, t0) -> int:
             ex = exact(args.k, ell, args.z)
             rh = rhs(args.k, ell, args.z)
             rows.append({"L": ell, "exact": ex, "rhs": rh, "ratio": ex / rh})
-        if args.format == "csv":
-            _emit(_csv_rows(rows), args.out)
-            return 0
         results = {"rows": rows}
-    _emit_payload("rmt", params, results, seed, t0, args.out)
+    _emit_payload("rmt", params, results, seed, t0, args)
     return 0
 
 
@@ -255,11 +257,8 @@ def _cmd_simulate(args, seed, t0) -> int:
     if args.helson:
         x_list = _parse_int_list(args.x_list)
         rows = helson_table(x_list, args.trials, seed, threads=args.threads)
-        if args.format == "csv":
-            _emit(_csv_rows(rows), args.out)
-            return 0
         params = {"x_list": x_list, "trials": args.trials}
-        _emit_payload("simulate", params, {"rows": rows}, seed, t0, args.out)
+        _emit_payload("simulate", params, {"rows": rows}, seed, t0, args)
         return 0
     params = {
         "model": args.model,
@@ -272,7 +271,7 @@ def _cmd_simulate(args, seed, t0) -> int:
         args.model, int(args.x), args.sigma, args.two_k, args.trials, seed, threads=args.threads
     )
     results = asdict(est)
-    _emit_payload("simulate", params, results, seed, t0, args.out)
+    _emit_payload("simulate", params, results, seed, t0, args)
     return 0
 
 
@@ -297,7 +296,7 @@ def _cmd_conjecture(args, seed, t0) -> int:
         results["quarter_power"] = (math.e / (math.e - 1.0)) ** 0.25
     if args.x is not None:
         results["moment"] = conjectured_moment(args.k, args.sigma, args.x)
-    _emit_payload("conjecture", params, results, seed, t0, args.out)
+    _emit_payload("conjecture", params, results, seed, t0, args)
     return 0
 
 
@@ -309,7 +308,7 @@ def _cmd_bound(args, seed, t0) -> int:
         "u_star": res.u_star,
         "v_star": res.v_star,
     }
-    _emit_payload("bound", {}, results, seed, t0, args.out)
+    _emit_payload("bound", {}, results, seed, t0, args)
     return 0
 
 
@@ -328,11 +327,11 @@ def _cmd_verify(args, seed, t0) -> int:
         + (f"; failed: {failed}" if failed else "")
     )
     text = "\n".join(lines) + "\n"
-    if args.format == "json":
-        rows = [asdict(r) for r in results]
-        _emit_payload("verify", {"only": numbers}, {"criteria": rows}, seed, t0, args.out)
-    else:
+    if args.format in (None, "text"):
         _emit(text, args.out)
+    else:  # JSON, or the usage error of a --format verify cannot emit
+        rows = [asdict(r) for r in results]
+        _emit_payload("verify", {"only": numbers}, {"criteria": rows}, seed, t0, args)
     return 0 if not failed else 1
 
 

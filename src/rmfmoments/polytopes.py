@@ -44,8 +44,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .exact_counts import _MEMORY_GUARD
+from .errors import _MEMORY_GUARD, refuse_past
 
 __all__ = [
     "PolytopeSpec",
@@ -253,44 +252,27 @@ def _check_dp_vertices(n: int) -> None:
     arrays hold at most ``_NUMPY_MAX_AXES``.  A caller that builds an edge
     list from a vertex count calls this before the list exists.
     """
-    if n >= _NUMPY_MAX_AXES:
-        raise ResourceLimitError(
-            f"capped-degree DP on {n} vertices may hold {n + 1} array axes, past the "
-            f"{_NUMPY_MAX_AXES}-axis guard on numpy array dimensions"
-        )
+    subject = f"capped-degree DP on {n} vertices"
+    refuse_past(subject, n + 1, _NUMPY_MAX_AXES, "numpy array dimensions", " array axes")
 
 
 def _check_dp_guards(n: int, edges: list[tuple[int, int]], L: int, w) -> None:
     """Refuse a capped-degree DP before it allocates.
 
     The vertex count is bounded by ``_check_dp_vertices``, memory and run
-    time by ``_dp_cost``.  Integer counts stay below
-    prod_v C(L + a_v, a_v) |w|^(n L/2): give each edge to its first
-    endpoint v, and the a_v edges of v carry at most L.  With w None
-    (exact coefficients) or an integer w every guard applies; with a float
-    w the int64 one does not.
+    time by ``_dp_cost``.  The exact counts stay below
+    prod_v C(L + a_v, a_v): give each edge to its first endpoint v, and
+    the a_v edges of v carry at most L.  With w None (exact coefficients)
+    every guard applies; with a float w the int64 one does not.
     """
     _check_dp_vertices(n)
-    graded = _graded_vertices(edges)[0] if w is None else set()
-    peak, cells = _dp_cost(edges, L, graded)
-    if peak > _MEMORY_GUARD:
-        raise ResourceLimitError(
-            f"capped-degree DP on {n} vertices at L = {L} needs {peak >> 20} MiB of state "
-            f"at its peak, past the {_MEMORY_GUARD >> 20} MiB guard on memory"
-        )
-    if cells > _DP_CELL_GUARD:
-        raise ResourceLimitError(
-            f"capped-degree DP on {n} vertices at L = {L} makes {cells:.3g} cell updates, "
-            f"past the {_DP_CELL_GUARD:.0e} guard on run time"
-        )
-    if w is None or isinstance(w, int):
+    subject = f"capped-degree DP on {n} vertices at L = {L}"
+    peak, cells = _dp_cost(edges, L, _graded_vertices(edges)[0] if w is None else set())
+    refuse_past(subject, peak, _MEMORY_GUARD, "memory")
+    refuse_past(subject, cells, _DP_CELL_GUARD, "run time", " cell updates")
+    if w is None:
         bound = math.prod(math.comb(L + a, a) for a in Counter(i for i, _ in edges).values())
-        bound *= abs(w or 1) ** (n * L // 2)
-        if bound >= 2**63:
-            raise ResourceLimitError(
-                f"capped-degree DP on {n} vertices at L = {L}: counts may reach "
-                f"2^{math.log2(bound):.1f}, past the 2^63 int64 range"
-            )
+        refuse_past(f"{subject}, by its count bound,", bound, 2**63 - 1, "int64 range")
 
 
 def _fold(A: np.ndarray, axis: int, L: int) -> np.ndarray:
@@ -312,9 +294,8 @@ def _capped_degree_dp(
     edge.  Weight c on edge (i, j) moves mass from (r_i, r_j) to
     (r_i - c, r_j - c), so one edge step is the in-place diagonal prefix
     sum A[r_i, r_j] += w A[r_i + 1, r_j + 1], taken downward in r_i.  With
-    an integer or float w a closing vertex is summed out and the total
-    comes back, an exact int for an integer w (w = 1 counts the
-    weightings) and a float for a float w.
+    a float w a closing vertex is summed out and the float total comes
+    back.
 
     With w None the exact coefficient of each power of w comes back, as a
     tuple of n L // 2 + 1 entries.  The total weight W is a function of
@@ -333,7 +314,7 @@ def _capped_degree_dp(
     graded, scale = _graded_vertices(edges) if w is None else (set(), 1)
     last = {v: e for e, edge in enumerate(edges) for v in edge}
     # axis 0 is the accumulator, then one axis per open vertex
-    A = np.ones(1, dtype=np.float64 if isinstance(w, float) else np.int64)
+    A = np.ones(1, dtype=np.int64 if w is None else np.float64)
     open_axes: list[int] = []
     for e, edge in enumerate(edges):
         for v in edge:
@@ -453,20 +434,12 @@ def _gamma_counts(k: int, T: int) -> tuple[int, ...]:
     int64, and the rows are added as Python ints.
     """
     m, D = 2 * k - 2, 2 * T
-    peak = _gamma_peak_bytes(k, T)
-    if peak > _MEMORY_GUARD:
-        raise ResourceLimitError(
-            f"gamma_sym({k}) dilation {T} needs {peak >> 20} MiB for its degree and closure "
-            f"tables at their peak, past the {_MEMORY_GUARD >> 20} MiB guard on memory"
-        )
+    subject = f"gamma_sym({k}) dilation {T}"
+    refuse_past(f"{subject}, for its tables,", _gamma_peak_bytes(k, T), _MEMORY_GUARD, "memory")
     # G counts weightings of C(m, 2) edges in [0, D], and M choices of m - 1
     # free entries in [0, D]; a row sum adds at most D + 1 of their products
     bound = (D + 1) ** (math.comb(m, 2) + m)
-    if bound >= 2**63:
-        raise ResourceLimitError(
-            f"gamma_sym({k}) dilation {T}: row sums of the count may reach "
-            f"2^{math.log2(bound):.1f}, past the 2^63 int64 range"
-        )
+    refuse_past(f"{subject}, by its row-sum bound,", bound, 2**63 - 1, "int64 range")
     G = _degree_table(m, D)
     M = _closure_table(k, D)
     sigma = np.add.outer(np.arange(D + 1), np.arange(D + 1))
@@ -500,7 +473,8 @@ def lattice_count(spec: PolytopeSpec, t: int) -> int:
         # every row sum is at most t and the total is (k-1) t, so each is t
         return _capped_degree_dp(2 * k - 1, _bipartite_edges(k - 1, k), t)[(k - 1) * t]
     if spec.family == "alpha_box":
-        return _capped_degree_dp(2 * k, _bipartite_edges(k, k), t, 1)
+        # every row and column sum at most t: all the graded coefficients
+        return sum(_capped_degree_dp(2 * k, _bipartite_edges(k, k), t))
     # gamma_sym: degrees 2t on K_{2k}; one build serves the whole Ehrhart
     # range, and a dilation past every build so far replaces it
     counts = _GAMMA_COUNTS.get(k, ())

@@ -36,12 +36,11 @@ from functools import cache
 import numpy as np
 
 from .analytic import hyper_2F1_series
-from .errors import ResourceLimitError, in_float_range
+from .errors import ResourceLimitError, in_float_range, refuse_past
 from .estimates import MomentEstimate, keyed_estimate
 from .polytopes import (
     _bipartite_edges,
     _capped_degree_dp,
-    _check_dp_guards,
     _check_dp_vertices,
     _complete_edges,
     beta_constant,
@@ -112,20 +111,18 @@ def _moment_exact(group: str, k: int, L: int, z_abs: float) -> float:
     z_abs = _check_args(k, L, z_abs)
     w = z_abs * z_abs
     edges = _group_edges(group, k)
+    cached = unitary_truncated_coefficients if group == "unitary" else so_truncated_coefficients
     # the exact counts wherever the DP's guards admit them, else a float w
     try:
-        _check_dp_guards(2 * k, edges, L, None)
+        coefficients = cached(k, L)
     except ResourceLimitError:
-        exact = False
-    else:
-        exact = True
+        coefficients = None
+
     # every term, and every entry of the float DP state, is at most the
     # moment, so a float overflow anywhere means the moment passes the range
-    cached = unitary_truncated_coefficients if group == "unitary" else so_truncated_coefficients
-
     def value() -> float:
-        if exact:
-            return math.fsum(c * w**s for s, c in enumerate(cached(k, L)))
+        if coefficients is not None:
+            return math.fsum(c * w**s for s, c in enumerate(coefficients))
         return _capped_degree_dp(2 * k, edges, L, w)
 
     return _in_float_range(group, k, L, z_abs, value)
@@ -284,12 +281,8 @@ def mc_truncated_moment(
     if samples < 100:
         raise ValueError("samples must be at least 100")
     ops = samples * ((L + 1) * N**3 + _HAAR_DRAW_OPS)
-    if ops > _HAAR_OP_GUARD:
-        raise ResourceLimitError(
-            f"Haar Monte Carlo at N = {N}, L = {L} with {samples} samples takes "
-            f"samples ((L+1) N^3 + {_HAAR_DRAW_OPS}) = {ops:.3g} operations, "
-            f"past the {_HAAR_OP_GUARD:.0e} guard on run time"
-        )
+    subject = f"Haar Monte Carlo at N = {N}, L = {L} with {samples} samples"
+    refuse_past(subject, ops, _HAAR_OP_GUARD, "run time", " operations")
 
     def fill(start: int, rngs, out: np.ndarray) -> None:
         _abs_powers(_secular_head(_haar_unitaries(N, rngs), L), k, z_abs, out)

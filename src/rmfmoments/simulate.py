@@ -23,11 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import primes_up_to
-from .errors import ResourceLimitError
+from .errors import refuse_past
 from .estimates import MomentEstimate, keyed_estimate
 
 __all__ = ["estimate_abs_moment", "helson_table"]
 
+# The fill table of 0..x peaks at 28.4 bytes a number while it is built
+# (traced at x = 2e6 and 5e6; same host as below), 270 MiB at x = 10^7
+_TABLE_BYTES_PER_NUMBER = 29
 _MAX_SIEVE_X = 10_000_000
 # bytes of fill state per chunk of trials; small chunks keep the gathers
 # in cache, and one trial's row is never split.  At x = 10^5 two threads
@@ -35,15 +38,6 @@ _MAX_SIEVE_X = 10_000_000
 # 81-93 MB RSS with 8 MiB, 72-78 MB with 4 MiB and 100-105 MB with 16 MiB,
 # at equal Steinhaus times (2-vCPU KVM guest, Python 3.11, numpy 2.4)
 _CHUNK_BYTES = 8 * 2**20
-
-
-def _check_x(x: int) -> int:
-    x = int(x)
-    if x < 1:
-        raise ValueError("x must be at least 1")
-    if x > _MAX_SIEVE_X:
-        raise ResourceLimitError(f"simulation guard: x <= {_MAX_SIEVE_X}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -144,7 +138,11 @@ def estimate_abs_moment(
         raise ValueError("two_k must be positive")
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    x = _check_x(x)
+    x = int(x)
+    if x < 1:
+        raise ValueError("x must be at least 1")
+    need, cap = _TABLE_BYTES_PER_NUMBER * x, _TABLE_BYTES_PER_NUMBER * _MAX_SIEVE_X
+    refuse_past(f"simulation fill table at x = {x}", need, cap, "memory")
     primes = primes_up_to(x)
     npr = len(primes)
     table = _fill_table(x, primes, squarefree=model == "rademacher")

@@ -157,6 +157,38 @@ def test_resource_refusal_exit_3(capsys):
     assert "run time" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--model", "steinhaus", "--k", "2", "--x", "2", "--format", "csv"],
+        ["count", "--model", "steinhaus", "--k", "2", "--x", "2", "--format", "text"],
+        ["rmt", "--k", "2", "--L", "3", "--z", "1.5", "--format", "text"],
+        ["rmt", "--k", "2", "--L", "3", "--z", "1.5", "--format", "csv"],
+        ["rmt", "--mode", "ratio-table", "--k", "1", "--L-list", "2,3", "--z", "1.5",
+         "--format", "text"],
+        ["simulate", "--helson", "--x-list", "100", "--trials", "120", "--format", "text"],
+        ["bound", "--format", "csv"],
+        ["verify", "--only", "3", "--format", "csv"],
+    ],
+    ids=["count-csv", "count-text", "rmt-text", "rmt-csv", "ratio-table-text", "helson-text",
+         "bound-csv", "verify-csv"],
+)
+def test_format_a_subcommand_cannot_emit_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot emit --format {argv[-1]}" in captured.err
+
+
+def test_formats_a_subcommand_emits(capsys):
+    code, out = run_cli(capsys, "rmt", "--mode", "ratio-table", "--k", "1", "--L-list", "2,3",
+                        "--z", "1.5", "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == "L,exact,rhs,ratio"
+    assert run_json(capsys, "bound", "--format", "json")["command"] == "bound"
+    code, out = run_cli(capsys, "verify", "--only", "3", "--format", "text")
+    assert code == 0 and "criterion 03 PASS" in out
+
+
 def test_verify_subset(capsys):
     code, out = run_cli(capsys, "verify", "--only", "3,5")
     assert code == 0
