@@ -3,13 +3,17 @@
 Every subcommand emits one JSON object {command, params, results,
 manifest} (or CSV for tabular results) so runs are machine-readable and
 reproducible: the manifest embeds the seed, version, and the full
-parameter set, and float formatting is fixed at 17 significant digits so
-re-serializing parsed output is byte-identical.
+parameter set.  Floats print as their shortest round-trip repr, so a float
+stays a float and ``json.dumps(doc, indent=2)`` of parsed output is
+byte-identical.  A --format is checked before any work.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import json
 import math
 import os
 import sys
@@ -21,7 +25,6 @@ from . import __version__
 from .acceptance import run_all
 from .analytic import (
     agm,
-    comparison_constant,
     conjectured_coefficient,
     conjectured_moment,
     cs_bound_minimize,
@@ -59,53 +62,23 @@ __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# canonical serialization
+# output
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("refusing to serialize a non-finite float")
-    return "%.17g" % x
-
-
-def _serialize(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = []
-        for key, val in obj.items():
-            rows.append(f'{pad}  "{key}": {_serialize(val, indent + 1)}')
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{pad}  {_serialize(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+def _fraction(obj) -> str:
     if isinstance(obj, Fraction):
-        return f'"{obj.numerator}/{obj.denominator}"'
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if obj is None:
-        return "null"
+        return f"{obj.numerator}/{obj.denominator}"
     raise TypeError(f"unserializable value of type {type(obj).__name__}")
 
 
-def _manifest(command: str, params: dict, seed: int, t0: float) -> dict:
-    return {
-        "command": command,
-        "params": dict(params),
-        "seed": seed,
-        "version": __version__,
-        "duration_seconds": time.perf_counter() - t0,
-    }
+def _csv_rows(rows: list[dict]) -> str:
+    if not all(math.isfinite(v) for row in rows for v in row.values() if isinstance(v, float)):
+        raise ValueError("refusing to serialize a non-finite float")
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -117,18 +90,23 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_payload(command, params, results, seed, t0, args) -> None:
-    # a table of rows may go out as CSV; any other --format is a usage error
-    if args.format == "csv" and "rows" in results:
+    # main admits --format csv only for the commands whose results are rows
+    if args.format == "csv":
         return _emit(_csv_rows(results["rows"]), args.out)
-    if args.format not in (None, "json"):
-        raise ValueError(f"{command} cannot emit --format {args.format} here")
     payload = {
         "command": command,
         "params": dict(params),
         "results": results,
-        "manifest": _manifest(command, params, seed, t0),
+        "manifest": {
+            "command": command,
+            "params": dict(params),
+            "seed": seed,
+            "version": __version__,
+            "duration_seconds": time.perf_counter() - t0,
+        },
     }
-    _emit(_serialize(payload) + "\n", args.out)
+    text = json.dumps(payload, indent=2, allow_nan=False, default=_fraction)
+    _emit(text + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +221,9 @@ def _cmd_rmt(args, seed, t0) -> int:
         results = asdict(est)
     else:  # ratio-table
         l_values = _parse_int_list(args.L_list) if args.L_list else [args.L]
+        if args.k >= 2 and 0 in l_values:
+            # both asymptotic curves vanish at L = 0 for k >= 2: no ratio to take
+            raise ValueError("ratio-table needs every L >= 1 when k >= 2")
         rows = []
         for ell in l_values:
             ex = exact(args.k, ell, args.z)
@@ -286,9 +267,6 @@ def _cmd_conjecture(args, seed, t0) -> int:
         if args.k > 0
         else 1.0,
         "x_exponent": args.k * (1.0 - 2.0 * args.sigma),
-        "comparison_constant": comparison_constant(max(1, round(args.k)), args.sigma)
-        if float(args.k).is_integer() and args.k >= 1
-        else None,
     }
     if args.k == 0.5 and args.sigma == 0.0:
         s = math.sqrt(1.0 - 1.0 / math.e)
@@ -326,12 +304,11 @@ def _cmd_verify(args, seed, t0) -> int:
         f"{len(results) - len(failed)}/{len(results)} criteria passed"
         + (f"; failed: {failed}" if failed else "")
     )
-    text = "\n".join(lines) + "\n"
-    if args.format in (None, "text"):
-        _emit(text, args.out)
-    else:  # JSON, or the usage error of a --format verify cannot emit
+    if args.format == "json":
         rows = [asdict(r) for r in results]
         _emit_payload("verify", {"only": numbers}, {"criteria": rows}, seed, t0, args)
+    else:
+        _emit("\n".join(lines) + "\n", args.out)
     return 0 if not failed else 1
 
 
@@ -354,18 +331,16 @@ def _env_threads() -> int:
         raise ValueError(f"RMFMOMENTS_THREADS must be an integer, got {env!r}") from exc
 
 
-def _csv_rows(rows: list[dict]) -> str:
-    header = ",".join(rows[0].keys())
-    body = []
-    for row in rows:
-        cells = []
-        for v in row.values():
-            if isinstance(v, float):
-                cells.append(_fmt_float(v))
-            else:
-                cells.append(str(v))
-        body.append(",".join(cells))
-    return "\n".join([header] + body) + "\n"
+def _check_format(args) -> None:
+    # decided from the arguments alone, so a request is refused before any work
+    if args.command == "verify":
+        allowed = ("json", "text")
+    elif getattr(args, "mode", None) == "ratio-table" or getattr(args, "helson", False):
+        allowed = ("json", "csv")
+    else:
+        allowed = ("json",)
+    if args.format not in (None, *allowed):
+        raise ValueError(f"{args.command} cannot emit --format {args.format} here")
 
 
 def _add_global_flags(target: argparse.ArgumentParser, suppress: bool) -> None:
@@ -467,6 +442,7 @@ def main(argv=None) -> int:
         args.L = 0
     t0 = time.perf_counter()
     try:
+        _check_format(args)
         if args.threads is None:
             args.threads = _env_threads()
         return args.func(args, args.seed, t0)

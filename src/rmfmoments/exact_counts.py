@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import factorize_small, primes_up_to
-from .errors import _MEMORY_GUARD, refuse_past
+from .errors import _MEMORY_GUARD, ResourceLimitError, refuse_past
 
 __all__ = [
     "MultiplicityMap",
@@ -494,7 +494,7 @@ class CharAverageResult:
     ``avg_all`` is the average over all phi(q) characters, computed in
     integers; ``float_error`` records how far the floating FFT evaluation
     ``avg_all_float`` landed from it.  ``congruence_count`` is the
-    independent residue-side count (-1 when q > 10^4).
+    independent residue-side count, -1 where its own guards refuse it.
     """
 
     k: int
@@ -615,7 +615,10 @@ def char_moment_average(k: int, q: int, x: int) -> CharAverageResult:
         avg_nonprincipal = Fraction(avg_int * phi - principal ** (2 * k), phi - 1)
     else:
         avg_nonprincipal = Fraction(0)
-    cc = congruence_count(k, q, x) if q <= 10_000 else -1
+    try:
+        cc = congruence_count(k, q, x)
+    except ResourceLimitError:
+        cc = -1
     return CharAverageResult(
         k=k,
         q=q,

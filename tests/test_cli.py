@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from rmfmoments.cli import _serialize, main
+from rmfmoments import cli
+from rmfmoments.cli import main
 
 
 def run_cli(capsys, *args):
@@ -85,14 +86,39 @@ def test_simulate_seeded(capsys):
 def test_json_byte_roundtrip(capsys):
     _, out = run_cli(capsys, "count", "--model", "steinhaus", "--k", "2", "--x", "3")
     doc = json.loads(out)
-    assert _serialize(doc) + "\n" == out
+    assert json.dumps(doc, indent=2) + "\n" == out
 
 
 def test_float_format_17_digits(capsys):
     _, out = run_cli(capsys, "constants", "--name", "a", "--k", "2")
     doc = json.loads(out)
-    # re-parsing and re-serializing is lossless at 17 significant digits
-    assert json.loads(_serialize(doc)) == doc
+    # re-parsing and re-serializing is lossless: floats print as their repr
+    assert json.loads(json.dumps(doc, indent=2)) == doc
+
+
+def test_integral_floats_stay_floats(capsys):
+    doc = run_json(capsys, "count", "--model", "steinhaus", "--k", "2", "--x", "3")
+    assert isinstance(doc["params"]["x"], float) and doc["params"]["x"] == 3.0
+    assert isinstance(doc["params"]["sigma"], float)
+    doc = run_json(capsys, "rmt", "--mode", "rhs", "--k", "2", "--L", "0", "--z", "1.5")
+    assert isinstance(doc["results"]["value"], float) and doc["results"]["value"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rmt", "--mode", "rhs", "--k", "2", "--L", "3", "--z", "1.5"],
+        ["rmt", "--mode", "ratio-table", "--k", "2", "--L-list", "3", "--z", "1.5",
+         "--format", "csv"],
+    ],
+    ids=["json", "csv"],
+)
+def test_non_finite_float_refused_exit_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "unitary_asymptotic_rhs", lambda k, L, z: math.nan)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err
 
 
 def test_global_flags_accepted_both_positions(capsys):
@@ -180,6 +206,44 @@ def test_format_a_subcommand_cannot_emit_exit_2(capsys, argv):
     assert f"cannot emit --format {argv[-1]}" in captured.err
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("the work ran before the --format check")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("run_all", ["verify", "--format", "csv"]),
+        ("steinhaus_energy",
+         ["count", "--model", "steinhaus", "--k", "2", "--x", "1e10", "--format", "csv"]),
+    ],
+    ids=["verify-csv", "count-csv"],
+)
+def test_format_refused_before_the_work(capsys, monkeypatch, name, argv):
+    monkeypatch.setattr(cli, name, _never_called)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot emit --format {argv[-1]}" in captured.err
+
+
+@pytest.mark.parametrize("group", ["unitary", "special_orthogonal"])
+def test_ratio_table_at_L0_refused_before_any_row(capsys, monkeypatch, group):
+    # for k >= 2 both asymptotic curves vanish at L = 0
+    for name in ("unitary_truncated_moment_exact", "so_truncated_moment_exact"):
+        monkeypatch.setattr(cli, name, _never_called)
+    argv = ["rmt", "--mode", "ratio-table", "--group", group, "--k", "2", "--L-list", "0,3",
+            "--z", "1.5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "L >= 1" in captured.err
+    monkeypatch.undo()
+    # k = 1 has a geometric limit at L = 0, so its table keeps the row
+    doc = run_json(capsys, "rmt", "--mode", "ratio-table", "--group", group, "--k", "1",
+                   "--L-list", "0,3", "--z", "1.5")
+    assert [row["L"] for row in doc["results"]["rows"]] == [0, 3]
+
+
 def test_formats_a_subcommand_emits(capsys):
     code, out = run_cli(capsys, "rmt", "--mode", "ratio-table", "--k", "1", "--L-list", "2,3",
                         "--z", "1.5", "--format", "csv")
@@ -228,7 +292,7 @@ def test_helson_csv_format(capsys):
 
 
 def test_helson_csv_roundtrip(tmp_path, capsys):
-    # --out writes the bytes stdout would carry, floats at 17 digits
+    # --out writes the bytes stdout would carry, floats as their repr
     args = ["simulate", "--helson", "--x-list", "100", "--trials", "120", "--format", "csv"]
     _, out = run_cli(capsys, *args)
     target = tmp_path / "table.csv"
@@ -237,5 +301,5 @@ def test_helson_csv_roundtrip(tmp_path, capsys):
     assert target.read_text() == out
     header, row = out.splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
-    assert cells["x"] == "100"
+    assert cells["x"] == "100.0"
     assert float(cells["mean_abs"]) > 0

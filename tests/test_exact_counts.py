@@ -363,6 +363,17 @@ def test_congruence_count_run_time_guard():
         congruence_count(3, 9973, 100)
 
 
+def test_char_average_reports_a_refused_side_count_as_minus_one():
+    # the side count is refused on its array operations, the average is not
+    with pytest.raises(ResourceLimitError, match="array operations"):
+        congruence_count(3, 9973, 1000)
+    res = char_moment_average(3, 9973, 1000)
+    assert res.congruence_count == -1
+    # the Kronecker average, matched by the independent float FFT route
+    assert res.avg_all == 100291873071080
+    assert res.float_error < 1e-9 * res.avg_all
+
+
 def test_char_average_frozen():
     res = char_moment_average(2, 101, 10)
     assert res.avg_all == 278
