@@ -167,6 +167,13 @@ def criterion_04(seed: int) -> CriterionResult:
     r2 = steinhaus_energy(2, 100, 0.0).value / term.value_at(100.0)
     r4 = steinhaus_energy(2, 10**4, 0.0).value / term.value_at(10.0**4)
     ok = abs(r4 - 1.0) < abs(r2 - 1.0) and 0.7 <= r4 <= 1.4
+    # below sigma = 1/2, E_2,sigma / x^(2(1 - 2 sigma)) grows like the
+    # constant times log x; at sigma = 0.1 its slope over (1e4, 1e5) reads
+    # 1.5e-3 under the constant (1.2e-4 over (1e5, 1e6))
+    weighted = steinhaus_asymptotic_rhs(2, 0.1, 100.0)
+    lo, hi = (steinhaus_energy(2, x, 0.1).value / x**weighted.x_exponent for x in (10**4, 10**5))
+    slope = (hi - lo) / math.log(10.0) / weighted.constant - 1.0
+    ok = ok and abs(slope) < 3e-3
     flags = [
         "the reference restatement of the x^2 log x constant omits the "
         "Gamma-factor 2 (it reads 6/pi^2 where the pipeline constant is "
@@ -174,7 +181,10 @@ def criterion_04(seed: int) -> CriterionResult:
         "trend clauses fail by moving away from 1, so the check gates on "
         "the pipeline constant"
     ]
-    detail = f"constant={term.constant:.6f} ratio(1e2)={r2:.5f} ratio(1e4)={r4:.5f}"
+    detail = (
+        f"constant={term.constant:.6f} ratio(1e2)={r2:.5f} ratio(1e4)={r4:.5f} "
+        f"sigma=0.1 slope/constant-1={slope:.2e}"
+    )
     return _finish(4, "Steinhaus fourth-moment trend", ok, detail, t0, flags, limit=300.0)
 
 

@@ -220,7 +220,7 @@ def _cmd_rmt(args, seed, t0) -> int:
         )
         results = asdict(est)
     else:  # ratio-table
-        l_values = _parse_int_list(args.L_list) if args.L_list else [args.L]
+        l_values = _parse_int_list(args.L_list) if args.L_list is not None else [args.L]
         if args.k >= 2 and 0 in l_values:
             # both asymptotic curves vanish at L = 0 for k >= 2: no ratio to take
             raise ValueError("ratio-table needs every L >= 1 when k >= 2")
@@ -291,7 +291,7 @@ def _cmd_bound(args, seed, t0) -> int:
 
 
 def _cmd_verify(args, seed, t0) -> int:
-    numbers = _parse_int_list(args.only) if args.only else None
+    numbers = _parse_int_list(args.only) if args.only is not None else None
     results = run_all(numbers, seed=seed)
     lines = []
     for r in results:
@@ -318,9 +318,12 @@ def _cmd_verify(args, seed, t0) -> int:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
+    if not values:
+        raise ValueError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _env_threads() -> int:

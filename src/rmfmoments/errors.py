@@ -9,7 +9,8 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Context
 import numpy as np
 
 # the one memory budget, in bytes: multiplicity maps, the capped-degree DP,
-# the gamma tables, and the k = 2 totient table under its run-time guard
+# the gamma tables, the weighted k = 2 energy's float tables, and the
+# k = 2 totient table under its run-time guard
 _MEMORY_GUARD = 2**30
 
 

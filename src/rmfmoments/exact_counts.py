@@ -10,9 +10,16 @@ Three families of identities are implemented:
   sorted and the memory is the (k-1)-level map plus one window.  The
   energy reduces the k-th level window by window without keeping it;
   guards on memory and run time refuse a map before it is allocated.
+  The map serves k >= 3, and at k = 2 it is the independent route.
   The unweighted k = 2 energy instead sums the totient identity over the
   O(sqrt x) blocks of equal floor(x/m), with the summatory totient sieved
-  up to x^(2/3) and recursed above it, in O(x^(2/3)) steps.
+  up to x^(2/3) and recursed above it, in O(x^(2/3)) steps.  The weighted
+  k = 2 energy sums the coprime-pair identity
+  E_2,sigma(x) = sum_{M<=x} w_s(M) H_s(floor(x/M))^2, s = 2 sigma, over
+  float tables to x filled by O(sqrt x) strided updates, about
+  (6/pi^2) x ln x element operations; guards on memory and run time admit
+  x up to 1.96e7, past 10^7, and the sigma = 1/2 energy it reaches is the
+  arithmetic side of the constant a(2) alpha(2).
 
 * Rademacher: E(sum_{n<=x} Y_n)^(2k) is evaluated two independent ways,
   by full enumeration of sign assignments to the primes (a fast Walsh
@@ -32,6 +39,7 @@ Three families of identities are implemented:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,11 +81,12 @@ _MAP_BYTES_PER_ENTRY = 32
 # A k-level scatter costs about x C(x+k-2, k-1) + x^k / 16 operations: the
 # scatter adds, bounded through the multiset count of the (k-1)-level
 # products, and the window cells, 16 of which cost about one add.
-# Measured at 8-11 ns an operation for k = 3..4, 27 for the k = 2 map and
-# 61 for the weighted k = 2 energy, whose fsum terms add to the cost
-# (Python 3.11, numpy 2.4, 2-vCPU KVM guest), so the guard is at most
-# about 120 s.  The largest verify, test or benchmark input,
-# steinhaus_energy(3, 300), is 1.5e7 operations.
+# Measured at 8-11 ns an operation for k = 3..4 and 27 for the k = 2 map;
+# the weighted k = 3 energy, whose fsum terms add to the cost, took 11.6 at
+# x = 1000 (5.6e8 operations in 6.6 s, 3.7 s unweighted; Python 3.11,
+# numpy 2.4, 2-vCPU KVM guest), so the guard is at most about 25 s.  The
+# largest verify, test or benchmark input, steinhaus_energy(3, 300), is
+# 1.5e7 operations.
 _SCATTER_CELLS_PER_OP = 16
 _SCATTER_OP_GUARD = 2 * 10**9
 # the weighted k=1 energy is a Python fsum over x terms, ~0.15 s per 10^6
@@ -102,6 +111,15 @@ _CONGRUENCE_OP_GUARD = 10**8
 # for k = 2 (1.1 s at x = 1600, 5.3 s at 2400, 7.9 s at 2900, 13 s at 3200;
 # same host), so the guard is about 10 s, k = 2 up to x = 2927.
 _TUPLE_WORD_GUARD = 6 * 10**7
+# The weighted k = 2 energy's coprime-pair identity holds three float64
+# tables over 0..x (H_s, mu(d) d^-s, phi_s) and mu in int8, with at most
+# half a table as a temporary, 29 bytes per x, and the final fsum's 2^20-term
+# chunk as one window (traced peak 28 bytes per x at x = 10^7): the memory
+# guard admits x <= 3.47e7.  Its (6/pi^2) x ln x strided updates take
+# 18-23 ns each (1.8 s at x = 10^7; same host), so the guard on run time,
+# about 4.5 s, binds first and admits x <= 1.96e7.
+_COPRIME_PAIR_BYTES_PER_X = 29
+_COPRIME_PAIR_UPDATE_GUARD = 2 * 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +316,109 @@ def _sum_of_squares_exact(counts: np.ndarray) -> int:
     return total
 
 
+def _mobius_table(x: int) -> np.ndarray:
+    """mu(n) for n = 0..x, as int8.
+
+    As in ``_totient_table`` only the primes p <= sqrt(x) are sieved: each
+    flips the sign of its multiples with one strided slice, zeroes those
+    of p^2 with another, and is divided once out of ``rest``.  A squarefree
+    n whose rest stays above 1 has one prime factor past sqrt(x) left,
+    which flips its sign once more.
+    """
+    mu = np.ones(x + 1, dtype=np.int8)
+    mu[0] = 0
+    rest = np.arange(x + 1, dtype=np.int32 if x < 2**31 else np.int64)
+    for p in primes_up_to(math.isqrt(x)).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        rest[p::p] //= p
+    np.negative(mu, out=mu, where=rest > 1)
+    return mu
+
+
+def _check_coprime_pair_guards(x: int) -> None:
+    subject = f"k = 2 coprime-pair identity at x = {x}"
+    need = _COPRIME_PAIR_BYTES_PER_X * x + _WINDOW_BYTES
+    refuse_past(subject, need, _MEMORY_GUARD, "memory")
+    updates = round(6 / math.pi**2 * x * math.log(x))
+    refuse_past(subject, updates, _COPRIME_PAIR_UPDATE_GUARD, "run time", " strided updates")
+
+
+def _energy_k2_coprime_pairs(x: int, sigma: float) -> float:
+    """E_2,sigma(x) = sum_{M<=x} w_s(M) H_s(floor(x/M))^2, s = 2 sigma.
+
+    The solutions of ab = cd are a = gm, c = gn, b = hn, d = hm with
+    gcd(m, n) = 1, and each weighs (ghmn)^-s.  So g and h run to x/M,
+    M = max(m, n), and give H_s(y) = sum_{g<=y} g^-s each, while the
+    coprime pairs of maximum M give w_s(1) = 1 and, past 1,
+    w_s(M) = 2 M^-s phi_s(M) with phi_s(M) = sum_{n<=M, (n,M)=1} n^-s
+    = sum_{d|M} mu(d) d^-s H_s(M/d).  At s = 0 this is the totient sum.
+
+    phi_s is filled divisor by divisor: each squarefree d <= top =
+    floor(x/(isqrt(x)+1)) adds mu(d) d^-s H_s(i) at M = d i in one strided
+    slice, and each multiplier i <= x/(top+1) <= isqrt(x) adds the d > top
+    in another, so the loop takes O(sqrt x) Python steps.  The terms are
+    summed by one fsum over 2^20-term chunks.
+    """
+    _check_coprime_pair_guards(x)
+    s = 2.0 * sigma
+    mu = _mobius_table(x)
+    coef = np.arange(x + 1, dtype=np.float64)
+    np.power(coef, -s, out=coef, where=coef > 0)
+    h = np.cumsum(coef)  # h[y] = H_s(y); coef[0] = 0
+    coef *= mu  # coef[d] = mu(d) d^-s
+    del mu
+    phi = h.copy()  # the d = 1 term
+    top = max(1, x // (math.isqrt(x) + 1))
+    for d in (np.flatnonzero(coef[2 : top + 1]) + 2).tolist():
+        phi[d::d] += coef[d] * h[1 : x // d + 1]
+    phi[top + 1 :] += coef[top + 1 :]  # i = 1, where H_s(1) = 1
+    for i in range(2, x // (top + 1) + 1):
+        phi[(top + 1) * i : x + 1 : i] += coef[top + 1 : x // i + 1] * h[i]
+    del coef
+
+    def chunks():
+        for lo in range(1, x + 1, _WINDOW):
+            m = np.arange(lo, min(lo + _WINDOW, x + 1))
+            t = 2.0 * m.astype(np.float64) ** -s * phi[lo : lo + len(m)] * h[x // m] ** 2
+            if lo == 1:
+                t[0] = h[x] ** 2  # w_s(1) = 1
+            yield t.tolist()
+
+    return math.fsum(itertools.chain.from_iterable(chunks()))
+
+
+def _energy_map(k: int, x: int, sigma: float) -> int | float:
+    """sum_n n^(-2 sigma) r_k(n;x)^2 from the k-level map, streamed window by window."""
+    _check_map_guards(k, x, output=False)
+    below = product_multiplicity_map(k - 1, x)
+    windows = _scatter_windows(below.values, below.counts, x)
+    if sigma == 0.0:
+        return sum(_sum_of_squares_exact(buf) for _, buf in windows)
+    # fsum over consecutive chunks of 2^20 distinct products, not over
+    # windows, so the float does not depend on the window width
+    chunks = []
+    pending = np.empty(0)
+    for lo, buf in windows:
+        v, c = _window_entries(lo, buf)
+        c = c.astype(np.float64)
+        pending = np.concatenate((pending, v.astype(np.float64) ** (-2.0 * sigma) * c * c))
+        while len(pending) >= 1 << 20:
+            chunks.append(math.fsum(pending[: 1 << 20].tolist()))
+            pending = pending[1 << 20 :]
+    chunks.append(math.fsum(pending.tolist()))
+    return math.fsum(chunks)
+
+
 def steinhaus_energy(k: int, x: float, sigma: float = 0.0) -> EnergyResult:
-    """sum_n n^(-2 sigma) r_k(n;x)^2, the 2k-th moment of the Steinhaus sum."""
+    """sum_n n^(-2 sigma) r_k(n;x)^2, the 2k-th moment of the Steinhaus sum.
+
+    k = 1 is the diagonal; k = 2 takes the summatory-totient block sum at
+    sigma = 0 (an exact int) and the coprime-pair identity past it (a
+    float, x up to 1.96e7 under its guards); k >= 3 streams the
+    product-multiplicity map, which stays callable at k = 2 as the
+    independent route.
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if not 0.0 <= sigma <= 0.5:
@@ -316,29 +435,10 @@ def steinhaus_energy(k: int, x: float, sigma: float = 0.0) -> EnergyResult:
         refuse_past(f"k = 1 energy at x = {xf}", xf, _FSUM_TERM_GUARD, "run time", " fsum terms")
         val = math.fsum(n ** (-2.0 * sigma) for n in range(1, xf + 1))
         return EnergyResult(k, xf, sigma, val, space)
-
-    if k == 2 and sigma == 0.0:
-        return EnergyResult(k, xf, sigma, _energy_k2_sigma0(xf), space)
-
-    _check_map_guards(k, xf, output=False)
-    below = product_multiplicity_map(k - 1, xf)
-    windows = _scatter_windows(below.values, below.counts, xf)
-    if sigma == 0.0:
-        total = sum(_sum_of_squares_exact(buf) for _, buf in windows)
-        return EnergyResult(k, xf, sigma, total, space)
-    # fsum over consecutive chunks of 2^20 distinct products, not over
-    # windows, so the float does not depend on the window width
-    chunks = []
-    pending = np.empty(0)
-    for lo, buf in windows:
-        v, c = _window_entries(lo, buf)
-        c = c.astype(np.float64)
-        pending = np.concatenate((pending, v.astype(np.float64) ** (-2.0 * sigma) * c * c))
-        while len(pending) >= 1 << 20:
-            chunks.append(math.fsum(pending[: 1 << 20].tolist()))
-            pending = pending[1 << 20 :]
-    chunks.append(math.fsum(pending.tolist()))
-    return EnergyResult(k, xf, sigma, math.fsum(chunks), space)
+    if k == 2:
+        value = _energy_k2_sigma0(xf) if sigma == 0.0 else _energy_k2_coprime_pairs(xf, sigma)
+        return EnergyResult(k, xf, sigma, value, space)
+    return EnergyResult(k, xf, sigma, _energy_map(k, xf, sigma), space)
 
 
 # ---------------------------------------------------------------------------

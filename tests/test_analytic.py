@@ -16,6 +16,7 @@ from rmfmoments.analytic import (
     steinhaus_asymptotic_rhs,
 )
 from rmfmoments.arith import factorize_small
+from rmfmoments.exact_counts import steinhaus_energy
 
 
 # --- asymptotic leading terms ------------------------------------------------
@@ -44,6 +45,17 @@ def test_steinhaus_rhs_critical_line():
     assert term.constant == pytest.approx(1 / math.pi**2, rel=1e-8)
     assert term.x_exponent == 0.0
     assert term.log_exponent == 4.0
+
+
+def test_steinhaus_rhs_below_critical_line_matches_energy_slope():
+    # 0 < sigma < 1/2: E_2,sigma(x) / x^(2(1 - 2 sigma)) grows like the
+    # constant times log x, the constant carrying (1 - 2 sigma)^-3
+    term = steinhaus_asymptotic_rhs(2, 0.1, 100.0)
+    assert term.x_exponent == pytest.approx(1.6) and term.log_exponent == 1.0
+    lo, hi = (steinhaus_energy(2, x, 0.1).value / x**term.x_exponent for x in (10**4, 10**5))
+    slope = (hi - lo) / math.log(10.0)
+    # measured -1.51e-3 over (1e4, 1e5), -1.2e-4 over (1e5, 1e6)
+    assert slope / term.constant - 1.0 == pytest.approx(-1.51e-3, abs=2e-5)
 
 
 def test_rademacher_rhs_k2_constant():

@@ -303,3 +303,23 @@ def test_helson_csv_roundtrip(tmp_path, capsys):
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["x"] == "100.0"
     assert float(cells["mean_abs"]) > 0
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("unitary_truncated_moment_exact",
+         ["rmt", "--mode", "ratio-table", "--k", "2", "--L-list", ",", "--z", "1.5",
+          "--format", "csv"]),
+        ("helson_table",
+         ["simulate", "--helson", "--x-list", ",", "--trials", "10", "--format", "csv"]),
+        ("run_all", ["verify", "--only", ","]),
+    ],
+    ids=["ratio-table", "helson", "verify"],
+)
+def test_empty_integer_list_refused_before_the_work(capsys, monkeypatch, name, argv):
+    monkeypatch.setattr(cli, name, _never_called)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: expected at least one integer" in captured.err

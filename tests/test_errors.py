@@ -62,7 +62,9 @@ GUARDS = {
     "prime-table": lambda mp: primes_up_to(4 * 10**8),
     "euler-cutoff": lambda mp: b_constant(3, eps=1e-40),
     "map-memory": lambda mp: product_multiplicity_map(3, 10**4),
-    "map-run-time": lambda mp: steinhaus_energy(2, 10**5, 0.1),
+    "map-run-time": lambda mp: steinhaus_energy(3, 2000, 0.1),
+    "coprime-pair-memory": lambda mp: steinhaus_energy(2, 10**8, 0.25),
+    "coprime-pair-run-time": lambda mp: steinhaus_energy(2, 2 * 10**7, 0.25),
     "totient-run-time": lambda mp: steinhaus_energy(2, 10**12),
     "fsum-run-time": lambda mp: steinhaus_energy(1, 10**9, 0.25),
     "walsh-memory": lambda mp: rademacher_moment_sign_enum(2, 10**8),

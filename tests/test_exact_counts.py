@@ -13,6 +13,11 @@ from rmfmoments.arith import primes_up_to
 from rmfmoments.errors import ResourceLimitError
 from rmfmoments.exact_counts import (
     _TOTIENT_STEP_GUARD,
+    _check_coprime_pair_guards,
+    _energy_k2_coprime_pairs,
+    _energy_k2_sigma0,
+    _energy_map,
+    _mobius_table,
     _totient_cutoff,
     _totient_table,
     _walsh_hadamard,
@@ -124,10 +129,59 @@ def test_energy_weighted_matches_brute_force():
     assert got == pytest.approx(brute_energy(2, 5, 0.25), rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [0.1, 0.25, 0.5])
+def test_coprime_pair_identity_matches_brute_force(sigma):
+    for x in range(1, 7):
+        got = steinhaus_energy(2, x, sigma).value
+        assert got == pytest.approx(brute_energy(2, x, sigma), rel=1e-15)
+
+
 def test_energy_weighted_bit_identical():
     # fsum over the same 2^20-product chunks as the sort-based map, so the
     # float is pinned to the last bit
-    assert steinhaus_energy(2, 2000, 0.25).value == 90433.95591424954
+    assert _energy_map(2, 2000, 0.25) == 90433.95591424954
+
+
+def test_energy_k2_weighted_pinned():
+    # the coprime-pair identity's float, 1.2e-15 under the map route's
+    assert steinhaus_energy(2, 2000, 0.25).value == 90433.95591424943
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.25, 0.5])
+def test_coprime_pair_identity_agrees_with_map_route(sigma):
+    # the largest gap over this grid and the three sigmas reads 1.3e-15
+    # relative; at x = 43386, where the map route takes 160-171 s, 4.0e-16,
+    # 1.0e-15 and 1.6e-15 at sigma = 0.1, 1/4 and 1/2
+    for x in [*range(1, 201), 1999, 3000]:
+        assert _energy_k2_coprime_pairs(x, sigma) == pytest.approx(_energy_map(2, x, sigma), rel=2e-15)
+
+
+def test_coprime_pair_identity_at_sigma0_is_the_totient_count():
+    # at s = 0 every table holds small integers, so the float is exact
+    for x in range(1, 3001):
+        assert _energy_k2_coprime_pairs(x, 0.0) == _energy_k2_sigma0(x)
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 9, 30, 97, 1000, 12345])
+def test_mobius_table_equals_factorization(x):
+    def mu(n):
+        sign, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if n > 1 else sign
+    assert _mobius_table(x).tolist() == [0] + [mu(n) for n in range(1, x + 1)]
+
+
+def test_coprime_pair_guards_admit_past_1e7():
+    _check_coprime_pair_guards(10**7)
+    _check_coprime_pair_guards(19593391)
+    with pytest.raises(ResourceLimitError, match="guard on run time"):
+        _check_coprime_pair_guards(19593392)
 
 
 def test_energy_k3_streams_in_bounded_memory():
