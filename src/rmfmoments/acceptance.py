@@ -46,6 +46,7 @@ from .polytopes import (
     beta_mixed,
     birkhoff,
     ehrhart_polynomial,
+    gamma_constant,
     lattice_count,
 )
 from .rmt import (
@@ -132,6 +133,18 @@ def criterion_02(seed: int) -> CriterionResult:
         )
         ok = ok and oos
         checks.append(f"beta({k})={pa.leading_coefficient} routes_agree={same} oos={oos}")
+    # beta(4) and gamma(3) rest on the reciprocity fit's own three
+    # out-of-sample checks; gamma(3)'s fit takes the degree table at t >= 0
+    # and the odd-degree capped DP at t < 0, so the pin checks both kernels
+    pa = ehrhart_polynomial(birkhoff(4))
+    same = pa.coefficients == ehrhart_polynomial(beta_mixed(4)).coefficients
+    pinned = pa.leading_coefficient == Fraction(11, 11340)
+    ok = ok and same and pinned
+    checks.append(f"beta(4)={pa.leading_coefficient} routes_agree={same} pinned={pinned}")
+    gamma = gamma_constant(3)
+    pinned = gamma == Fraction(19, 241920)
+    ok = ok and pinned
+    checks.append(f"gamma(3)={gamma} kernels=degree_table+capped_dp pinned={pinned}")
     return _finish(2, "polytope constants, dual routes", ok, "; ".join(checks), t0, limit=120.0)
 
 

@@ -157,6 +157,13 @@ def conjectured_coefficient(k: float, sigma: float) -> float:
 
     a(k) / (2F1(1-k, 1-k; 2-2k; 1-e^(2 sigma - 1))
             * (1 - e^(2 sigma - 1))^((k-1)^2) * (1 - 2 sigma)^(2k-1)).
+
+    At sigma = 0 the conjecture is refuted, and this is no limiting
+    coefficient: Harper (Forum Math. Pi 8, 2020, e1) proved
+    E|sum_{n<=x} f(n)|^(2q) ~ (x / (1 + (1 - q) sqrt(log log x)))^q up to
+    constants, uniformly for 0 <= q <= 1, so E|S|^(2q) / x^q -> 0 for
+    fixed 0 < q < 1.  The formula is kept because the pipeline reproduces
+    it.
     """
     if not 0.0 <= k < 1.0:
         raise ValueError("k must lie in [0, 1)")
@@ -170,7 +177,13 @@ def conjectured_coefficient(k: float, sigma: float) -> float:
 
 
 def conjectured_moment(k: float, sigma: float, x: float) -> float:
-    """Conjectured E|sum|^(2k) for fractional k in [0, 1)."""
+    """Conjectured E|sum|^(2k) for k in [0, 1): C(k, sigma) x^(k(1-2 sigma)).
+
+    At sigma = 0 and fixed 0 < k < 1 the true moment is o(x^k) (Harper,
+    Forum Math. Pi 8, 2020, e1; see ``conjectured_coefficient``): this
+    over-states it by a factor that grows like (log log x)^(k/2), up to
+    constants.
+    """
     if not x >= 1.0:
         raise ValueError("x must be at least 1")
     coeff = conjectured_coefficient(k, sigma)

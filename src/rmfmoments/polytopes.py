@@ -15,10 +15,23 @@ edge weights:
                       degree 2t to stay on the integer lattice).
 
 Volumes are normalized as leading coefficients of Ehrhart polynomials,
-interpolated exactly over rationals from dilation counts, then validated
-at out-of-sample dilations.  ``birkhoff`` is counted by memoized
-recursion over row compositions with exact margins, the last two rows in
-closed form; ``alpha_box`` and ``beta_mixed`` by the capped-degree edge
+interpolated exactly over rationals, then validated at out-of-sample
+dilations.  By Ehrhart-Macdonald reciprocity, (-1)^d P(-t) counts the
+interior lattice points of the t-th dilation, so each fit needs only
+about half the dilations d + 1 points would: the counts at t = 0..m,
+and P at -1..-c-m.  For the three integral families the interior is
+itself a smaller dilation (t - k for ``birkhoff`` and ``beta_mixed``,
+t - k - 1 for ``alpha_box``), so their counts mirror into the negative
+grid at no cost; ``birkhoff(4)``, ``beta_mixed(4)`` count t <= 6 and
+``alpha_box(4)`` t <= 9, three out-of-sample checks included.  For
+``gamma_sym`` the interior points are the weightings whose degrees all
+equal 2t - 2k + 1, an odd target the degree table never reaches, so its
+polynomial draws on two kernels: the degree table for t >= 0 (t <= 7
+at k = 3) and the capped-degree DP on K_{2k} for t < 0.
+
+``birkhoff`` is counted by memoized recursion over row compositions
+with exact margins, the last two rows in closed form; ``alpha_box`` and
+``beta_mixed`` by the capped-degree edge
 DP on K_{k,k} and K_{k-1,k} that also gives the ``rmt`` moments (its
 graded counts read the total weight off the degrees of the closing
 vertices, so no weight axis rides through the edge steps, and
@@ -475,11 +488,11 @@ def lattice_count(spec: PolytopeSpec, t: int) -> int:
     if spec.family == "alpha_box":
         # every row and column sum at most t: all the graded coefficients
         return sum(_capped_degree_dp(2 * k, _bipartite_edges(k, k), t))
-    # gamma_sym: degrees 2t on K_{2k}; one build serves the whole Ehrhart
-    # range, and a dilation past every build so far replaces it
+    # gamma_sym: degrees 2t on K_{2k}; one build serves every dilation the
+    # fit counts, and a dilation past every build so far replaces it
     counts = _GAMMA_COUNTS.get(k, ())
     if t >= len(counts):
-        counts = _GAMMA_COUNTS[k] = _gamma_counts(k, max(t, spec.dimension + 3))
+        counts = _GAMMA_COUNTS[k] = _gamma_counts(k, max(t, _fit_grid(spec)[1] + 3))
     return counts[t]
 
 
@@ -508,8 +521,8 @@ class RationalPolynomial:
         return acc
 
 
-def _newton_interpolate(values: list[int]) -> RationalPolynomial:
-    """Exact interpolation through (i, values[i]), i = 0..d."""
+def _newton_interpolate(values: list[int], start: int) -> RationalPolynomial:
+    """Exact interpolation through (start + i, values[i]), i = 0..d."""
     d = len(values) - 1
     diffs = [Fraction(v) for v in values]
     # divided differences on the unit grid reduce to forward differences / i!
@@ -518,7 +531,7 @@ def _newton_interpolate(values: list[int]) -> RationalPolynomial:
     for i in range(1, d + 1):
         work = [work[j + 1] - work[j] for j in range(len(work) - 1)]
         table.append(work[0] / math.factorial(i))
-    # expand prod_{j<i} (t - j) into monomials
+    # expand prod_{j<i} (t - start - j) into monomials
     coeffs = [Fraction(0)] * (d + 1)
     basis = [Fraction(1)]
     for i in range(d + 1):
@@ -526,24 +539,84 @@ def _newton_interpolate(values: list[int]) -> RationalPolynomial:
             coeffs[j] += table[i] * b
         new_basis = [Fraction(0)] * (len(basis) + 1)
         for j, b in enumerate(basis):
-            new_basis[j] -= b * i
+            new_basis[j] -= b * (start + i)
             new_basis[j + 1] += b
         basis = new_basis
     return RationalPolynomial(tuple(coeffs))
+
+
+def _fit_grid(spec: PolytopeSpec) -> tuple[int, int]:
+    """(c, m): the fit interpolates P on the grid -c-m..m, counting t = 0..m.
+
+    For the three integral families c is the mirror shift of
+    ``_reciprocal_counts``, k or k + 1.  For ``gamma_sym`` the negative
+    end comes from its own kernel, and c = 1 gives the degree table and
+    the capped DP equal shares.  The grid's c + 2m + 1 points must fix
+    the degree d, so m = ceil((d - c) / 2).
+    """
+    k = spec.k
+    c = {"birkhoff": k, "beta_mixed": k, "alpha_box": k + 1, "gamma_sym": 1}[spec.family]
+    return c, max(0, (spec.dimension - c + 1) // 2)
+
+
+def _reciprocal_counts(spec: PolytopeSpec, counts: list[int]) -> list[int]:
+    """P(-1), ..., P(-c-m) by Ehrhart-Macdonald reciprocity, from counts = P(0..m).
+
+    (-1)^d P(-t) counts the interior lattice points of the t-th dilation,
+    d the dimension (Stanley, Adv. Math. 14, 1974).  An interior point has
+    every entry or edge weight >= 1 and every bounded margin strict, so
+    taking 1 off each entry maps the interior points one to one onto a
+    smaller polytope's lattice points:
+
+    * ``birkhoff`` and ``beta_mixed``: the (t - k)-th dilation (k entries
+      in each line, and a column sum below t drops to at most t - k);
+    * ``alpha_box``: the (t - k - 1)-th dilation (every line sum below t);
+    * ``gamma_sym``: the weightings of K_{2k} whose degrees all equal the
+      odd value 2t - 2k + 1, the top coefficient of the capped-degree DP
+      there, which shares no code with the degree table.
+
+    There are none when that target is negative.  So the integral
+    families mirror, P(-c-t) = (-1)^d P(t) with c from ``_fit_grid``, and
+    ``gamma_sym`` counts afresh.
+    """
+    c = _fit_grid(spec)[0]
+    if spec.family == "gamma_sym":
+        k = spec.k
+        interior = [
+            _capped_degree_dp(2 * k, _complete_edges(2 * k), 2 * t - 2 * k + 1)[-1] if t >= k else 0
+            for t in range(1, c + len(counts))
+        ]
+    else:
+        interior = [0] * (c - 1) + counts
+    return [(-1) ** spec.dimension * n for n in interior]
 
 
 @cache
 def ehrhart_polynomial(spec: PolytopeSpec) -> RationalPolynomial:
     """Interpolate the dilation-count polynomial and validate it out of sample.
 
-    The count at t = 0..d pins a degree-d polynomial; predictions at
-    t = d+1, d+2, d+3 are then checked against fresh DP counts.  A
-    mismatch means a DP bug, not a data issue, hence RuntimeError.
+    With (c, m) from ``_fit_grid``, the counts at t = 0..m and
+    P(-1..-c-m) from ``_reciprocal_counts`` pin P on the grid -c-m..m.
+    The grid may hold more than d + 1 points; every interpolated
+    coefficient above degree d must then be 0.  Predictions at t = m+1,
+    m+2, m+3 are then checked against fresh counts.  A mismatch means a
+    counting bug, not a data issue, hence RuntimeError.  So the fit
+    counts t <= m + 3: t <= 6 for ``birkhoff(4)`` and ``beta_mixed(4)``,
+    t <= 9 for them at k = 5 and for ``alpha_box(4)``, and t <= 7 for
+    ``gamma_sym(3)``, whose negative end takes the capped DP at L = 1, 3
+    and 5.
     """
     d = spec.dimension
-    values = [lattice_count(spec, t) for t in range(d + 1)]
-    poly = _newton_interpolate(values)
-    for t in range(d + 1, d + 4):
+    c, m = _fit_grid(spec)
+    counts = [lattice_count(spec, t) for t in range(m + 1)]
+    poly = _newton_interpolate(_reciprocal_counts(spec, counts)[::-1] + counts, -c - m)
+    if any(poly.coefficients[d + 1 :]):
+        raise RuntimeError(
+            f"interpolation for {spec.family}(k={spec.k}) at t={-c - m}..{m} has nonzero "
+            f"coefficients above degree {d}: {poly.coefficients[d + 1 :]}"
+        )
+    poly = RationalPolynomial(poly.coefficients[: d + 1])
+    for t in range(m + 1, m + 4):
         predicted = poly(t)
         actual = lattice_count(spec, t)
         if predicted != actual:
@@ -577,8 +650,8 @@ def beta_constant(k: int) -> Fraction:
     Equality of the full Ehrhart polynomials is therefore a strong check
     of both, and it pins the volume normalization used everywhere else.
     """
-    if not 1 <= k <= 4:
-        raise ValueError("beta_constant supports k in 1..4")
+    if not 1 <= k <= 5:
+        raise ValueError("beta_constant supports k in 1..5")
     pa = ehrhart_polynomial(birkhoff(k))
     pb = ehrhart_polynomial(beta_mixed(k))
     if pa.coefficients != pb.coefficients:
@@ -589,7 +662,12 @@ def beta_constant(k: int) -> Fraction:
 
 
 def alpha_constant(k: int) -> Fraction:
-    """alpha(k): plain volume of the box-constrained margin polytope."""
+    """alpha(k): plain volume of the box-constrained margin polytope.
+
+    k = 5 is refused: its fit counts ``alpha_box(5)`` up to t = 13, where
+    the capped-degree DP's count bound passes int64, so the DP refuses it
+    until it can count past int64.
+    """
     if not 1 <= k <= 4:
         raise ValueError("alpha_constant supports k in 1..4")
     return relative_volume(alpha_box(k))

@@ -180,9 +180,12 @@ def helson_table(
 ) -> list[dict[str, float]]:
     """First-absolute-moment table: does E|S_x| / sqrt(x) flatten or sink?
 
-    Each row carries the simulated mean against the two fixed reference
-    levels: the conjectured limiting coefficient and the amplitude upper
-    bound, so the table reads as a verdict at a glance.
+    Each row carries the simulated mean against two fixed reference
+    levels: the conjectured coefficient C(1/2, 0) and the amplitude upper
+    bound.  C(1/2, 0) is no limit: Harper (Forum Math. Pi 8, 2020, e1)
+    proved E|S_x| ~ sqrt(x) / (log log x)^(1/4) up to constants, so the
+    ratio sinks, if slowly.  The conjecture's value is kept because the
+    pipeline reproduces it.
     """
     from .analytic import conjectured_coefficient, cs_bound_minimize
 

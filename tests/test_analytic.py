@@ -15,7 +15,7 @@ from rmfmoments.analytic import (
     rademacher_asymptotic_rhs,
     steinhaus_asymptotic_rhs,
 )
-from rmfmoments.arith import factorize_small
+from rmfmoments.arith import a_constant, factorize_small
 from rmfmoments.exact_counts import steinhaus_energy
 
 
@@ -56,6 +56,18 @@ def test_steinhaus_rhs_below_critical_line_matches_energy_slope():
     slope = (hi - lo) / math.log(10.0)
     # measured -1.51e-3 over (1e4, 1e5), -1.2e-4 over (1e5, 1e6)
     assert slope / term.constant - 1.0 == pytest.approx(-1.51e-3, abs=2e-5)
+
+
+def test_steinhaus_rhs_k5_below_critical_line():
+    # beta(5) = 188723/836911595520 is exact, so every sigma < 1/2 has a
+    # leading term at k = 5: Gamma(9) / Gamma(5)^2 = 70, and (1/2)^-9
+    term = steinhaus_asymptotic_rhs(5, 0.25, 100.0)
+    beta = 188723 / 836911595520
+    assert term.constant == pytest.approx(a_constant(5).value * beta * 70 * 2**9, rel=1e-12)
+    assert term.x_exponent == 2.5 and term.log_exponent == 16.0
+    # the critical line needs alpha(5), which stays refused
+    with pytest.raises(ValueError, match="alpha_constant"):
+        steinhaus_asymptotic_rhs(5, 0.5, 100.0)
 
 
 def test_rademacher_rhs_k2_constant():

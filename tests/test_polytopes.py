@@ -15,6 +15,8 @@ from rmfmoments.polytopes import (
     _complete_edges,
     _dp_cost,
     _graded_vertices,
+    _newton_interpolate,
+    _reciprocal_counts,
     alpha_box,
     alpha_constant,
     beta_constant,
@@ -100,6 +102,88 @@ def test_beta_routes_share_polynomial():
         assert pa.coefficients == pb.coefficients
 
 
+def test_beta_k5_pinned():
+    # vol B_5 (Beck & Pixton), from the degree-16 polynomials of both routes
+    # at t <= 9
+    assert beta_constant(5) == F(188723, 836911595520)
+    assert ehrhart_polynomial(birkhoff(5)) == ehrhart_polynomial(beta_mixed(5))
+
+
+def forward_fit(spec):
+    """The polynomial through the counts at t = 0..d, no reciprocity."""
+    return _newton_interpolate([lattice_count(spec, t) for t in range(spec.dimension + 1)], 0)
+
+
+RECIPROCITY_SPECS = (
+    [birkhoff(k) for k in range(1, 5)]
+    + [beta_mixed(k) for k in range(1, 5)]
+    + [alpha_box(k) for k in range(1, 5)]
+    + [gamma_sym(2), gamma_sym(3)]
+)
+
+
+@pytest.mark.parametrize(
+    "spec", RECIPROCITY_SPECS, ids=[f"{s.family}-k{s.k}" for s in RECIPROCITY_SPECS]
+)
+def test_reciprocity_fit_equals_forward_fit(spec):
+    assert ehrhart_polynomial(spec).coefficients == forward_fit(spec).coefficients
+
+
+def test_birkhoff_mirror_counts_positive_matrices():
+    # (-1)^d P(-t) counts the 3 x 3 matrices with line sums t and every
+    # entry >= 1: walk the first two rows, each a composition of t into 3
+    # parts; the column sums force the third, whose sum is then t
+    spec = birkhoff(3)
+    mirror = _reciprocal_counts(spec, [lattice_count(spec, t) for t in range(5)])
+    assert len(mirror) == 7
+    for t, value in enumerate(mirror, 1):
+        rows = [r for r in product(range(1, t + 1), repeat=3) if sum(r) == t]
+        brute = sum(
+            1 for a, b in product(rows, repeat=2) if all(t - a[j] - b[j] >= 1 for j in range(3))
+        )
+        assert (-1) ** spec.dimension * value == brute
+
+
+def test_gamma_mirror_counts_positive_weightings():
+    # (-1)^d P(-t) counts the K_4 weightings with every weight >= 1 and
+    # every degree 2t
+    spec = gamma_sym(2)
+    edges = _complete_edges(4)
+    mirror = _reciprocal_counts(spec, [lattice_count(spec, t) for t in range(4)])
+    assert len(mirror) == 4
+    for t, value in enumerate(mirror, 1):
+        brute = 0
+        for weights in product(range(1, 2 * t), repeat=len(edges)):
+            degrees = [0] * 4
+            for (i, j), w in zip(edges, weights):
+                degrees[i] += w
+                degrees[j] += w
+            brute += all(deg == 2 * t for deg in degrees)
+        assert (-1) ** spec.dimension * value == brute
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda mirror, spec, counts: [(-1) ** spec.dimension * n for n in mirror(spec, counts)],
+        lambda mirror, spec, counts: [0] + mirror(spec, counts)[:-1],
+    ],
+    ids=["sign-dropped", "shifted-by-one"],
+)
+@pytest.mark.parametrize(
+    "spec",
+    [birkhoff(4), alpha_box(3), gamma_sym(3)],
+    ids=["birkhoff-k4", "alpha_box-k3", "gamma_sym-k3"],
+)
+def test_broken_mirror_fails_the_fit(monkeypatch, mutate, spec):
+    # each family has odd dimension 9 here, so a dropped sign changes P(-t)
+    mirror = polytopes._reciprocal_counts
+    monkeypatch.setattr(polytopes, "_reciprocal_counts", lambda s, c: mutate(mirror, s, c))
+    ehrhart_polynomial.cache_clear()
+    with pytest.raises(RuntimeError):
+        ehrhart_polynomial(spec)
+
+
 def test_alpha_values():
     assert alpha_constant(1) == F(1)
     assert alpha_constant(2) == F(1, 6)
@@ -107,7 +191,8 @@ def test_alpha_values():
 
 def test_alpha_k3_k4_pinned():
     # Conrey-Gamburd pseudomagic-square volumes; alpha(4) is the degree-16
-    # Ehrhart polynomial of K_{4,4} weightings with degrees <= t, t <= 19
+    # Ehrhart polynomial of K_{4,4} weightings with degrees <= t, counted
+    # at t <= 9 and mirrored by reciprocity
     assert alpha_constant(3) == F(107, 60480)
     assert alpha_constant(4) == F(29003, 50295168000)
 
@@ -208,7 +293,7 @@ def test_graded_dp_equals_weight_axis_reference(n, edges, L_max):
     [
         (6, _bipartite_edges(3, 3), 15),
         (6, _complete_edges(6), 7),
-        (7, _bipartite_edges(3, 4), 12),  # the last Ehrhart dilation
+        (7, _bipartite_edges(3, 4), 12),  # the forward fit's last dilation
     ],
     ids=["unitary-k3", "so-k3", "beta_mixed-k4"],
 )
@@ -267,9 +352,9 @@ def test_gamma_k2():
 
 def test_k4_edge_counts_quadratic():
     # degree-constrained nonnegative edge weights on K_4 with every vertex
-    # at degree 2t: the count is (2t+1)(t+1).  t <= 5 is the Ehrhart range
-    # (dimension + 3), read from one shared build; each t past the largest
-    # build so far replaces it
+    # at degree 2t: the count is (2t+1)(t+1).  t <= 4 is the range the fit
+    # counts, read from one shared build; each t past the largest build so
+    # far replaces it
     spec = gamma_sym(2)
     for t in range(13):
         assert lattice_count(spec, t) == (2 * t + 1) * (t + 1)
@@ -288,7 +373,7 @@ def test_gamma_counts_served_from_largest_build(monkeypatch):
 
 
 def test_gamma_k3_dilation_counts_pinned():
-    # t = 0..12, the Ehrhart range; the same counts come from direct
+    # t = 0..12, the forward fit's range; the same counts come from direct
     # recursion over the edge compositions of the largest residual degree
     spec = gamma_sym(3)
     assert [lattice_count(spec, t) for t in range(13)] == [
@@ -336,8 +421,8 @@ def test_gamma_two_vertex_closure_equals_one_vertex_table():
 
 
 def test_gamma_far_dilations_follow_ehrhart_polynomial():
-    # dilations past the Ehrhart range t <= 12, whose counts alone fix the
-    # degree-9 polynomial
+    # dilations past t <= 12, whose counts alone would fix the degree-9
+    # polynomial
     poly = ehrhart_polynomial(gamma_sym(3))
     assert lattice_count(gamma_sym(3), 20) == poly(20)
     far = polytopes._gamma_counts(3, 20)

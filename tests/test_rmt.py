@@ -433,6 +433,17 @@ def test_unitary_ratio_improves_with_L():
     assert abs(r40 - 1) < abs(r10 - 1)
 
 
+def test_unitary_rhs_k5_approached_from_above():
+    # defined now that beta(5) is exact; the exact moment over the curve
+    # sinks slowly toward 1 at k = 5
+    z = SQRT_E
+    r8, r10 = (
+        unitary_truncated_moment_exact(5, L, z) / unitary_asymptotic_rhs(5, L, z) for L in (8, 10)
+    )
+    assert r8 == pytest.approx(9.1497, abs=5e-4)
+    assert r10 == pytest.approx(5.8585, abs=5e-4)
+
+
 def test_so_ratio_improves_with_L():
     z = 2.0
     ratios = [
