@@ -379,12 +379,13 @@ def criterion_12(seed: int) -> CriterionResult:
     emitted = len(rows) == 2 and all(r["ratio_sqrt_x"] > 0 for r in rows)
     ok = ok_agm and ok_coeff and emitted
     detail = (
-        f"agm={agm_val:.7f}; quarter-power={qp:.7f}; coefficient={coeff:.6f}; "
+        f"agm={agm_val:.7f}; quarter-power={qp:.7f}; formula value C(1/2, 0)={coeff:.6f} "
+        "vs 0.8769 +- 2e-4, no limit (Harper 2020: E|S_x|/sqrt(x) -> 0); "
         f"helson rows emitted at x=100, 1000 (ratios "
         + ", ".join(f"{r['ratio_sqrt_x']:.4f}" for r in rows)
         + ")"
     )
-    return _finish(12, "conjectured-coefficient pipeline", ok, detail, t0, flags)
+    return _finish(12, "conjectured-coefficient formula value", ok, detail, t0, flags)
 
 
 def criterion_13(seed: int) -> CriterionResult:
@@ -409,7 +410,7 @@ def criterion_14(seed: int) -> CriterionResult:
     ok = 0.5 <= ratio <= 2.0
     detail = (
         f"E_2(1e4)={e4}; L={L}; unitary moment={unitary:.6e}; "
-        f"ratio={ratio:.4f} (slow log-rate convergence, weak gate [0.5, 2])"
+        f"ratio={ratio:.4f} (weak gate [0.5, 2])"
     )
     return _finish(14, "count-to-matrix comparison", ok, detail, t0)
 

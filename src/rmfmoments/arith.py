@@ -1,4 +1,9 @@
-"""The prime sieve, trial-division factorization, and the Euler-product constants.
+"""The prime sieves, the per-n tables they give, and the Euler-product constants.
+
+``primes_up_to`` is a bool sieve that reaches the Euler-product cutoffs.
+The smallest-prime-factor table is behind every table indexed by n <= x
+(mu, phi, Omega, the squarefree signatures): each is one recurrence from
+n / spf(n) over the blocks of ``spf_blocks`` (Gries and Misra, CACM 21, 1978).
 
 The products evaluated here are the arithmetic prefactors that appear in
 moment asymptotics of random multiplicative sums:
@@ -30,13 +35,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import refuse_past
+from .errors import _MEMORY_GUARD, refuse_past
 
 __all__ = [
     "Factorization",
     "EulerProductResult",
     "factorize_small",
     "primes_up_to",
+    "smallest_prime_factors",
+    "spf_blocks",
     "dk_prime_power",
     "a_constant",
     "b_constant",
@@ -52,7 +59,7 @@ _prime_cache: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
-# prime sieve and factorization
+# prime sieves, factorization and the per-n tables
 
 
 def factorize_small(n: int) -> Factorization:
@@ -93,6 +100,73 @@ def primes_up_to(limit: int) -> np.ndarray:
         _prime_cache_limit = target
     cut = int(np.searchsorted(_prime_cache, limit, side="right"))
     return _prime_cache[:cut]
+
+
+def smallest_prime_factors(x: int) -> np.ndarray:
+    """spf(n) for n = 0..x as int32, with spf(0) = spf(1) = 1.
+
+    Each prime p <= sqrt(x) writes its multiples from p^2 on, the largest
+    p first, so the smallest prime dividing n writes last; what no prime
+    writes is prime and keeps spf(n) = n.
+    """
+    # 4 bytes a number; the 1 GiB guard also keeps x < 2^31 for int32
+    refuse_past(f"smallest-prime-factor table to {x}", 4 * (x + 1), _MEMORY_GUARD, "memory")
+    spf = np.arange(x + 1, dtype=np.int32)
+    spf[:2] = 1
+    for p in primes_up_to(math.isqrt(x))[::-1].tolist():
+        spf[p * p :: p] = p
+    return spf
+
+
+def spf_blocks(x: int):
+    """[lo, hi) blocks that cover 2..x in order, each n in one with n / spf(n) < lo.
+
+    n / spf(n) <= n / 2, so a block may run to 2 lo; it is also cut at
+    2^20 numbers, which bounds the temporaries of a pass over it.
+    """
+    lo = 2
+    while lo <= x:
+        hi = min(2 * lo, lo + (1 << 20), x + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _spf_table(x: int, dtype, step) -> np.ndarray:
+    """f(n) for n = 0..x, f(0) = 0 and f(1) = 1, else step(f(q), p, p | q), p = spf(n), q = n/p."""
+    f = np.zeros(x + 1, dtype=dtype)
+    f[1:2] = 1
+    spf = smallest_prime_factors(x)
+    for lo, hi in spf_blocks(x):
+        p = spf[lo:hi]
+        q = np.arange(lo, hi, dtype=np.int32) // p
+        f[lo:hi] = step(f[q], p, q % p == 0)
+    return f
+
+
+def _mobius_table(x: int) -> np.ndarray:
+    """int8 mu(n) for n = 0..x: 0 if p = spf(n) divides q = n/p, else -mu(q)."""
+    return _spf_table(x, np.int8, lambda mu_q, p, divides: np.where(divides, 0, -mu_q))
+
+
+def _totient_table(x: int) -> np.ndarray:
+    """int64 phi(n) for n = 0..x: phi(q) p if p = spf(n) divides q = n/p, else phi(q) (p - 1)."""
+    return _spf_table(x, np.int64, lambda phi_q, p, divides: phi_q * np.where(divides, p, p - 1))
+
+
+def _squarefree_masks(x: int) -> tuple[list[int], int]:
+    """Prime-signature bitmasks of the squarefree integers in [1, x], in order.
+
+    mask(n) = mask(q) | bit(p), p = spf(n) and q = n/p, or -1 (n not
+    squarefree) where mask(q) is -1 or p divides q, i.e. spf(q) = p.
+    """
+    primes = primes_up_to(x).tolist()
+    index = {p: i for i, p in enumerate(primes)}
+    spf = smallest_prime_factors(x).tolist()
+    masks = [-1, 0]  # mask(0) is never read; mask(1) = 0
+    for n in range(2, x + 1):
+        p, q = spf[n], n // spf[n]
+        masks.append(-1 if masks[q] < 0 or spf[q] == p else masks[q] | 1 << index[p])
+    return [m for m in masks[1:] if m >= 0], len(primes)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +237,9 @@ def _prime_zeta(s: float) -> float:
     """sum_p p^-s via Moebius inversion of log zeta; absolute error < 1e-13."""
     n_max = max(2, math.ceil(75.0 / s))
     acc = 0.0
-    for n in range(1, n_max + 1):
-        factors = factorize_small(n)
-        if any(e > 1 for _, e in factors):
-            continue
-        acc += (-1) ** len(factors) / n * math.log(_zeta(n * s))
+    for n, mu in enumerate(_mobius_table(n_max).tolist()):
+        if mu:
+            acc += mu / n * math.log(_zeta(n * s))
     return acc
 
 

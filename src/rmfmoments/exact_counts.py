@@ -12,14 +12,14 @@ Three families of identities are implemented:
   guards on memory and run time refuse a map before it is allocated.
   The map serves k >= 3, and at k = 2 it is the independent route.
   The unweighted k = 2 energy instead sums the totient identity over the
-  O(sqrt x) blocks of equal floor(x/m), with the summatory totient sieved
-  up to x^(2/3) and recursed above it, in O(x^(2/3)) steps.  The weighted
-  k = 2 energy sums the coprime-pair identity
-  E_2,sigma(x) = sum_{M<=x} w_s(M) H_s(floor(x/M))^2, s = 2 sigma, over
-  float tables to x filled by O(sqrt x) strided updates, about
-  (6/pi^2) x ln x element operations; guards on memory and run time admit
-  x up to 1.96e7, past 10^7, and the sigma = 1/2 energy it reaches is the
-  arithmetic side of the constant a(2) alpha(2).
+  O(sqrt x) blocks of equal floor(x/m), with the summatory totient from
+  the table of ``arith`` up to x^(2/3) and recursed above it, in
+  O(x^(2/3)) steps.  The weighted k = 2 energy sums the coprime-pair
+  identity E_2,sigma(x) = sum_{M<=x} w_s(M) H_s(floor(x/M))^2, s = 2 sigma,
+  over float tables to x, mu from ``arith`` and phi_s by O(sqrt x) strided
+  updates, about (6/pi^2) x ln x element operations; guards on memory and
+  run time admit x up to 1.96e7, past 10^7, and the sigma = 1/2 energy it
+  reaches is the arithmetic side of the constant a(2) alpha(2).
 
 * Rademacher: E(sum_{n<=x} Y_n)^(2k) is evaluated two independent ways,
   by full enumeration of sign assignments to the primes (a fast Walsh
@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize_small, primes_up_to
+from .arith import _mobius_table, _squarefree_masks, _totient_table, factorize_small, primes_up_to
 from .errors import _MEMORY_GUARD, ResourceLimitError, refuse_past
 
 __all__ = [
@@ -67,8 +67,8 @@ __all__ = [
 # Measured at 0.16-0.20 us per unit of x^(2/3) (0.9 s at x = 10^10, 3.6 s
 # at 10^11; Python 3.11, numpy 2.4, 2-vCPU KVM guest), so the guard on run
 # time is about 5 s.  The largest admitted x, 1.64e11, has y = 7.5e6 and a
-# peak RSS of 193 MB, under _MEMORY_GUARD, and every int64 partial sum of
-# the recursion stays under 2 x (y + 1) = 2.5e18 < 2^63.
+# peak RSS of 154 MB (traced: 16 bytes per y), under _MEMORY_GUARD, and every
+# int64 partial sum of the recursion stays under 2 x (y + 1) = 2.5e18 < 2^63.
 _TOTIENT_STEP_GUARD = 3 * 10**7
 # The multiplicity maps stream products through one int64 window of 2^20
 # cells.  A window with its nonzeros and, for sigma > 0, its float terms
@@ -114,7 +114,8 @@ _TUPLE_WORD_GUARD = 6 * 10**7
 # The weighted k = 2 energy's coprime-pair identity holds three float64
 # tables over 0..x (H_s, mu(d) d^-s, phi_s) and mu in int8, with at most
 # half a table as a temporary, 29 bytes per x, and the final fsum's 2^20-term
-# chunk as one window (traced peak 28 bytes per x at x = 10^7): the memory
+# chunk as one window (traced peak 28 bytes per x at x = 10^7; the Moebius
+# table's build, 6 bytes per x, ends before the float tables): the memory
 # guard admits x <= 3.47e7.  Its (6/pi^2) x ln x strided updates take
 # 18-23 ns each (1.8 s at x = 10^7; same host), so the guard on run time,
 # about 4.5 s, binds first and admits x <= 1.96e7.
@@ -233,28 +234,6 @@ class EnergyResult:
     tuple_space_size: int
 
 
-def _totient_table(x: int) -> np.ndarray:
-    """phi(n) for n = 0..x.
-
-    Only the primes p <= sqrt(x) are sieved, each with two strided slices,
-    while ``rest`` divides their powers out of n.  What is left of n is 1
-    or its one prime factor q > sqrt(x), and q divides what phi holds so
-    far, so one vectorized pass takes phi(n) / q off where q > 1.
-    """
-    phi = np.arange(x + 1, dtype=np.int64)
-    rest = np.arange(x + 1, dtype=np.int32 if x < 2**31 else np.int64)
-    for p in primes_up_to(math.isqrt(x)).tolist():
-        phi[p::p] -= phi[p::p] // p
-        q = p
-        while q <= x:
-            rest[q::q] //= p
-            q *= p
-    cofactor = np.zeros_like(phi)
-    np.floor_divide(phi, rest, out=cofactor, where=rest > 1)
-    phi -= cofactor
-    return phi
-
-
 def _totient_cutoff(x: int) -> int:
     """The sieve bound y of the k = 2 energy at x, after its guard on run time."""
     steps = round(x ** (2 / 3))
@@ -314,26 +293,6 @@ def _sum_of_squares_exact(counts: np.ndarray) -> int:
         else:
             total += int(np.dot(c, c))
     return total
-
-
-def _mobius_table(x: int) -> np.ndarray:
-    """mu(n) for n = 0..x, as int8.
-
-    As in ``_totient_table`` only the primes p <= sqrt(x) are sieved: each
-    flips the sign of its multiples with one strided slice, zeroes those
-    of p^2 with another, and is divided once out of ``rest``.  A squarefree
-    n whose rest stays above 1 has one prime factor past sqrt(x) left,
-    which flips its sign once more.
-    """
-    mu = np.ones(x + 1, dtype=np.int8)
-    mu[0] = 0
-    rest = np.arange(x + 1, dtype=np.int32 if x < 2**31 else np.int64)
-    for p in primes_up_to(math.isqrt(x)).tolist():
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        rest[p::p] //= p
-    np.negative(mu, out=mu, where=rest > 1)
-    return mu
 
 
 def _check_coprime_pair_guards(x: int) -> None:
@@ -443,31 +402,6 @@ def steinhaus_energy(k: int, x: float, sigma: float = 0.0) -> EnergyResult:
 
 # ---------------------------------------------------------------------------
 # Rademacher moments
-
-
-def _squarefree_masks(x: int) -> tuple[list[int], int]:
-    """Prime-signature bitmasks of the squarefree integers in [1, x]."""
-    primes = primes_up_to(x).tolist()
-    index = {p: i for i, p in enumerate(primes)}
-    masks = []
-    for n in range(1, x + 1):
-        m = n
-        mask = 0
-        squarefree = True
-        for p in primes:
-            if p * p > m:
-                break
-            if m % p == 0:
-                m //= p
-                if m % p == 0:
-                    squarefree = False
-                    break
-                mask |= 1 << index[p]
-        if squarefree:
-            if m > 1:
-                mask |= 1 << index[m]
-            masks.append(mask)
-    return masks, len(primes)
 
 
 def _butterfly(v: np.ndarray) -> None:

@@ -604,11 +604,13 @@ def ehrhart_polynomial(spec: PolytopeSpec) -> RationalPolynomial:
     counts t <= m + 3: t <= 6 for ``birkhoff(4)`` and ``beta_mixed(4)``,
     t <= 9 for them at k = 5 and for ``alpha_box(4)``, and t <= 7 for
     ``gamma_sym(3)``, whose negative end takes the capped DP at L = 1, 3
-    and 5.
+    and 5.  It counts them largest first, so a dilation past a count's
+    guard is refused before any other is counted.
     """
     d = spec.dimension
     c, m = _fit_grid(spec)
-    counts = [lattice_count(spec, t) for t in range(m + 1)]
+    counts = [lattice_count(spec, t) for t in range(m + 3, -1, -1)][::-1]
+    fresh, counts = counts[m + 1 :], counts[: m + 1]
     poly = _newton_interpolate(_reciprocal_counts(spec, counts)[::-1] + counts, -c - m)
     if any(poly.coefficients[d + 1 :]):
         raise RuntimeError(
@@ -616,9 +618,8 @@ def ehrhart_polynomial(spec: PolytopeSpec) -> RationalPolynomial:
             f"coefficients above degree {d}: {poly.coefficients[d + 1 :]}"
         )
     poly = RationalPolynomial(poly.coefficients[: d + 1])
-    for t in range(m + 1, m + 4):
+    for t, actual in enumerate(fresh, m + 1):
         predicted = poly(t)
-        actual = lattice_count(spec, t)
         if predicted != actual:
             raise RuntimeError(
                 f"interpolation mismatch for {spec.family}(k={spec.k}) at t={t}: "

@@ -2,13 +2,14 @@
 
 A Steinhaus f is completely multiplicative and a Rademacher f is
 multiplicative on squarefree n, so both obey f(n) = f(p) f(n/p) with
-p = spf(n), the smallest prime factor of n.  One table, built per
-estimate, orders 0..x by Omega(n), the number of prime factors counted
-with multiplicity, and stores the columns of spf(n) and n/spf(n); each
-Omega-level is then filled from the levels below it with one vectorized
-product.  Steinhaus rows take exp only at the primes and fold the weight
-n^-sigma into f(p); Rademacher rows are the same fill in int8, with
-f(n) = 0 wherever p also divides n/p, so their sums are exact integers.
+p = spf(n), the smallest prime factor of n, from the sieve of ``arith``.
+One table, built per estimate, orders 0..x by Omega(n) = 1 + Omega(n/p),
+the number of prime factors counted with multiplicity, and stores the
+columns of p and n/p; each Omega-level is then filled from the levels
+below it with one vectorized product.  Steinhaus rows take exp only at
+the primes and fold the weight n^-sigma into f(p); Rademacher rows are
+the same fill in int8, with f(n) = 0 wherever p also divides n/p, so
+their sums are exact integers.
 
 Estimates are reproducible bit for bit: trial t always draws from a
 counter-based stream keyed by (seed, t), independent of chunking and
@@ -22,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import primes_up_to
+from .arith import primes_up_to, smallest_prime_factors, spf_blocks
 from .errors import refuse_past
 from .estimates import MomentEstimate, keyed_estimate
 
 __all__ = ["estimate_abs_moment", "helson_table"]
 
-# The fill table of 0..x peaks at 28.4 bytes a number while it is built
-# (traced at x = 2e6 and 5e6; same host as below), 270 MiB at x = 10^7
+# The fill table of 0..x peaks at 28.5 bytes a number while it is built
+# (traced at x = 2e6, 5e6 and 10^7; same host as below), 272 MiB at x = 10^7
 _TABLE_BYTES_PER_NUMBER = 29
 _MAX_SIEVE_X = 10_000_000
 # bytes of fill state per chunk of trials; small chunks keep the gathers
@@ -55,29 +56,20 @@ class _FillTable:
     levels: list[tuple[int, int, np.ndarray, np.ndarray]]
 
 
-def _fill_table(x: int, primes: np.ndarray, squarefree: bool) -> _FillTable:
+def _fill_table(x: int, squarefree: bool) -> _FillTable:
     """Smallest-prime-factor table of 0..x, grouped by Omega(n).
 
     With ``squarefree`` the table encodes the Rademacher rule: f(n) = 0
     where p = spf(n) also divides n/p, and so for every n that is not
     squarefree.
     """
-    # int32 columns: x <= _MAX_SIEVE_X < 2^31; spf(0) = spf(1) = 1 by fiat
-    spf = np.ones(x + 1, dtype=np.int32)
-    # descending, so the smallest prime dividing n writes last
-    for p in primes[primes <= math.isqrt(x)][::-1]:
-        spf[p * p :: p] = p
-    spf[primes] = primes
+    # int32 columns, as x <= _MAX_SIEVE_X < 2^31; Omega(0) = -1 puts n = 0 in column 0
+    spf = smallest_prime_factors(x)
     cof = np.arange(x + 1, dtype=np.int32) // spf
-    # Omega(n) = 1 + Omega(n/spf(n)), so walk every cofactor chain down to
-    # 1 at once; Omega(0) = -1 puts n = 0 in column 0
-    omega = np.ones(x + 1, dtype=np.int8)
+    omega = np.empty(x + 1, dtype=np.int8)
     omega[:2] = (-1, 0)
-    m = cof
-    while (live := m > 1).any():
-        omega += live
-        m = cof[m]
-    del m, live
+    for lo, hi in spf_blocks(x):
+        omega[lo:hi] = omega[cof[lo:hi]] + 1
     col = np.empty(x + 1, dtype=np.int32)
     parts, levels, lo = [], [], 0
     for k in range(-1, int(omega.max()) + 1):
@@ -145,7 +137,7 @@ def estimate_abs_moment(
     refuse_past(f"simulation fill table at x = {x}", need, cap, "memory")
     primes = primes_up_to(x)
     npr = len(primes)
-    table = _fill_table(x, primes, squarefree=model == "rademacher")
+    table = _fill_table(x, squarefree=model == "rademacher")
     # a trial's state: its row of complex128 or int8 cells and its share of
     # the two gathers that fill the widest Omega-level
     cell_bytes = 16 if model == "steinhaus" else 1

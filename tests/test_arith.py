@@ -12,8 +12,16 @@ from rmfmoments.arith import (
     dk_prime_power,
     factorize_small,
     primes_up_to,
+    smallest_prime_factors,
+    spf_blocks,
 )
-from rmfmoments.arith import _dk_square_series, _prime_zeta, _zeta
+from rmfmoments.arith import (
+    _dk_square_series,
+    _mobius_table,
+    _prime_zeta,
+    _totient_table,
+    _zeta,
+)
 
 ZETA2 = math.pi**2 / 6
 
@@ -30,6 +38,53 @@ def test_factorize_roundtrip():
         for p, e in fac:
             prod *= p**e
         assert prod == n
+
+
+def test_smallest_prime_factors_equal_trial_division():
+    spf = smallest_prime_factors(10**4)
+    assert spf.dtype == np.int32 and spf[:2].tolist() == [1, 1]
+    assert [int(spf[n]) for n in range(2, 10**4 + 1)] == [
+        factorize_small(n)[0][0] for n in range(2, 10**4 + 1)
+    ]
+    for x in (0, 1, 2, 49):
+        assert smallest_prime_factors(x).tolist() == spf[: x + 1].tolist()
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 7, 8, 1000, 2**20 + 1, 2**21 + 2**20 + 5])
+def test_spf_blocks_cover_once_below_their_start(x):
+    spf = smallest_prime_factors(x)
+    blocks = list(spf_blocks(x))
+    assert [n for lo, hi in blocks for n in range(lo, hi)] == list(range(2, x + 1))
+    for lo, hi in blocks:
+        assert lo < hi <= lo + 2**20
+        assert (np.arange(lo, hi) // spf[lo:hi]).max() < lo
+
+
+def test_mobius_and_totient_tables_equal_per_prime_sieves():
+    # 2^21 + 2^20 + 5 crosses the 2^20 cut of the blocks; the references
+    # take every prime <= x with strided slices over all its multiples
+    x = 2**21 + 2**20 + 5
+    mu = np.ones(x + 1, dtype=np.int8)
+    mu[0] = 0
+    phi = np.arange(x + 1, dtype=np.int64)
+    for p in primes_up_to(x).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        phi[p::p] -= phi[p::p] // p
+    assert np.array_equal(_mobius_table(x), mu)
+    assert np.array_equal(_totient_table(x), phi)
+
+
+def test_prime_zeta_equal_to_trial_division_weights():
+    # the Moebius weights from the table, summed in the same order as the
+    # trial-division route, give the same floats
+    for s in (2.0, 3.0, 4.0, 7.0):
+        acc = 0.0
+        for n in range(1, max(2, math.ceil(75.0 / s)) + 1):
+            factors = factorize_small(n)
+            if all(e == 1 for _, e in factors):
+                acc += (-1) ** len(factors) / n * math.log(_zeta(n * s))
+        assert _prime_zeta(s) == acc
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=12))

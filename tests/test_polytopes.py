@@ -244,6 +244,24 @@ def test_capped_dp_refused_before_allocating(t, limit):
     assert peak < 1 << 20
 
 
+def test_alpha_box_5_fit_refused_before_any_count(monkeypatch):
+    # the fit counts its largest dilation, t = 13, first: the DP's int64
+    # bound refuses it before any smaller dilation is counted
+    calls, done = [], []
+    dp = polytopes._capped_degree_dp
+
+    def counted(*args):
+        calls.append(args[2])
+        out = dp(*args)
+        done.append(args[2])
+        return out
+
+    monkeypatch.setattr(polytopes, "_capped_degree_dp", counted)
+    with pytest.raises(ResourceLimitError, match="int64 range"):
+        relative_volume(alpha_box(5))
+    assert calls == [13] and done == []
+
+
 def graded_dp_with_weight_axis(n, edges, L):
     """The capped-degree DP that carries a leading axis of w-powers through
     every edge step, shifting it by one as it moves mass, and sums each

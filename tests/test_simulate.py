@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmfmoments.arith import primes_up_to
+from rmfmoments.arith import factorize_small, primes_up_to
 from rmfmoments.errors import ResourceLimitError
 from rmfmoments.estimates import trial_rng
 from rmfmoments.simulate import (
@@ -34,11 +34,22 @@ def _is_squarefree(n):
 
 def _kernel_rows(values_at_primes, x, squarefree=False):
     """Rows of the fill kernel put back in natural order: column n is f(n)."""
-    table = _fill_table(x, primes_up_to(x), squarefree)
+    table = _fill_table(x, squarefree)
     rows = _multiplicative_rows(values_at_primes, table)
     out = np.empty_like(rows)
     out[:, table.n] = rows
     return out
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 4, 30, 2000])
+@pytest.mark.parametrize("squarefree", [False, True])
+def test_fill_table_ordered_by_omega_then_n(x, squarefree):
+    # n = 0 first (Omega(0) = -1 by fiat), then n = 1, then each Omega-level
+    # in increasing n, with Omega counted from the trial-division factorization
+    def omega(n):
+        return -1 if n == 0 else sum(e for _, e in factorize_small(n))
+    order = sorted(range(x + 1), key=lambda n: (omega(n), n))
+    assert _fill_table(x, squarefree).n.tolist() == order
 
 
 def _signs(rng, x):
