@@ -274,6 +274,11 @@ def _cmd_conjecture(args, seed, t0) -> int:
         results["quarter_power"] = (math.e / (math.e - 1.0)) ** 0.25
     if args.x is not None:
         results["moment"] = conjectured_moment(args.k, args.sigma, args.x)
+    if args.sigma == 0.0 and 0.0 < args.k < 1.0:
+        results["note"] = (
+            "at sigma = 0 the conjecture is refuted and the coefficient is no limit: "
+            "E|S_x|^(2k) / x^k -> 0 for fixed 0 < k < 1 (Harper, Forum Math. Pi 8, 2020)"
+        )
     _emit_payload("conjecture", params, results, seed, t0, args)
     return 0
 

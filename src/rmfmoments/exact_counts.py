@@ -31,9 +31,14 @@ Three families of identities are implemented:
 
 * Dirichlet characters mod a prime q: the character-averaged 2k-th
   moment equals an exact congruence count by orthogonality; both sides
-  are computed independently (an integer cyclic convolution of the index
-  histogram vs a residue convolution) and compared, and a floating FFT
-  over the index transform is kept as a third, inexact check.
+  are computed independently and compared, and a floating FFT over the
+  index transform is kept as a third, inexact check.  The average is an
+  integer cyclic convolution of the index histogram through a primitive
+  root.  The count stays on the residues: the number of n <= x in a class
+  u != 0 is a step function of u, full + [u <= rest] with x = full q + rest,
+  so each level convolves with it by gathering level[s / u] over the u on
+  the shorter side of the step, q min(rest, q - 1 - rest) cells, with
+  modular inverses only and no primitive root or discrete log.
 """
 
 from __future__ import annotations
@@ -99,10 +104,15 @@ _SIGN_PRIME_GUARD = 24
 # k-th power; 2^23 result bits take ~1.3 s (same host), and the cost grows
 # like bits^1.58 under CPython's Karatsuba multiplication
 _KRONECKER_BIT_GUARD = 2**23
-# the congruence count does (k-1) q^2 array operations, 13-21 ns each in
-# int64 (x^k < 2^63) and 110-140 ns on the object arrays past that (same
-# host): (2, 9973, 9973) is 9.95e7 of them and takes 1.3 s, so every k = 2
-# modulus under the q <= 10^4 guard fits
+# The congruence count gathers q cells for each u on the shorter side of
+# its residue step, q min(rest, q - 1 - rest) <= q^2 / 2 a level, at about
+# 6 ns a cell in int64 (x^k < 2^63) and 34 ns on the object arrays past
+# that (same host).  The worst case, rest ~ q/2, takes 0.29 s at
+# (2, 9973, 4986), 0.30 s at (3, 7069, 3534) and 1.7 s on object arrays at
+# (2, 9973, 10^10 + 1897); x ~ q takes 2 ms at (2, 9973, 9973).  The guard
+# counts (k-1) q^2 array operations, at least twice the cells gathered, so
+# it over-refuses: (3, 9973, x) is refused, yet it takes 0.6 s at worst
+# (rest ~ q/2) and 0.13 s at x = 1000 with the guard lifted.
 _CONGRUENCE_OP_GUARD = 10**8
 # The tuple count builds x masks of pi(x) // 64 + 1 words and XORs each of
 # the at most min(2^pi(x), x^j) signatures of every level j < k with the
@@ -583,18 +593,28 @@ def congruence_count(k: int, q: int, x: int) -> int:
     subject = f"congruence count at k = {k}, q = {q}"
     refuse_past(subject, ops, _CONGRUENCE_OP_GUARD, "run time", " array operations")
     # a j-level entry counts j-tuples, so every entry and partial sum is at
-    # most x^k; object arrays only where that passes int64
+    # most x^k: at the step from level j the gathered sums and (full + 1) L
+    # lie in [0, x^(j+1)], as L <= x^j and full + 1 <= x; object arrays only
+    # where x^k passes int64
     dtype = np.int64 if x**k < 2**63 else object
     full, rest = divmod(x, q)
     counts = np.array([0] + [full + (r <= rest) for r in range(1, q)], dtype=dtype)
+    # counts[u] = full + [u <= rest] on u != 0, so the next level is
+    # nxt[s] = full L + sum_{u <= rest} level[s / u] with L = sum(level), or
+    # (full + 1) L - sum_{u > rest} level[s / u]: gather the shorter side
+    if 2 * rest > q - 1:
+        base, sign, side = full + 1, -1, range(rest + 1, q)
+    else:
+        base, sign, side = full, 1, range(1, rest + 1)
+    inverses = [pow(u, -1, q) for u in side]
     residues = np.arange(q)
     level = counts
     for _ in range(k - 1):
-        nxt = np.zeros(q, dtype=dtype)
-        for t, lt in enumerate(level.tolist()):
-            if lt:
-                nxt[t * residues % q] += lt * counts
-        level = nxt
+        gathered = np.zeros(q, dtype=dtype)
+        for v in inverses:
+            gathered += level[residues * v % q]
+        level = base * level.sum() + sign * gathered
+        level[0] = 0
     return sum(c * c for c in level[1:].tolist())
 
 

@@ -72,6 +72,15 @@ def test_conjecture_half(capsys):
     )
 
 
+def test_conjecture_marks_the_refuted_case(capsys):
+    # sigma = 0 with 0 < k < 1 carries the note; its numbers are unchanged
+    doc = run_json(capsys, "conjecture", "--k", "0.5", "--sigma", "0")
+    assert "refuted" in doc["results"]["note"] and "Harper" in doc["results"]["note"]
+    for k, sigma in (("0", "0"), ("0.5", "0.25"), ("0.3", "0.1")):
+        doc = run_json(capsys, "conjecture", "--k", k, "--sigma", sigma)
+        assert "note" not in doc["results"]
+
+
 def test_simulate_seeded(capsys):
     a = run_json(
         capsys, "simulate", "--model", "steinhaus", "--x", "100", "--trials", "200"

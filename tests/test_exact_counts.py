@@ -219,7 +219,8 @@ def test_energy_k2_equals_full_totient_sum(x):
 @pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 9, 25, 97, 1000, 12345, 2 * 10**6])
 def test_totient_table_equals_per_prime_sieve(x):
     # every prime <= x with its two strided slices, against the table that
-    # sieves only to sqrt(x) and divides out the one large prime cofactor
+    # arith builds by the spf recurrence phi(n) = phi(n / p) (p - 1), or
+    # phi(n / p) p where p = spf(n) divides n / p
     phi = np.arange(x + 1, dtype=np.int64)
     for p in primes_up_to(x).tolist():
         phi[p::p] -= phi[p::p] // p
@@ -352,6 +353,61 @@ def test_sign_enum_guard():
 
 
 # --- character averages ------------------------------------------------------
+
+
+def _congruence_count_reference(k, q, x):
+    """The dense residue route: scatter every level entry times the counts, (k-1) q^2 array ops."""
+    dtype = np.int64 if x**k < 2**63 else object
+    full, rest = divmod(x, q)
+    counts = np.array([0] + [full + (r <= rest) for r in range(1, q)], dtype=dtype)
+    residues = np.arange(q)
+    level = counts
+    for _ in range(k - 1):
+        nxt = np.zeros(q, dtype=dtype)
+        for t, lt in enumerate(level.tolist()):
+            if lt:
+                nxt[t * residues % q] += lt * counts
+        level = nxt
+    return sum(c * c for c in level[1:].tolist())
+
+
+# the reference's (k-1) q^2 array operations, kept to ~0.1 s a call
+_REFERENCE_OPS = 3 * 10**6
+
+
+@pytest.mark.parametrize(
+    "k, q",
+    [
+        (k, q)
+        for q in (2, 3, 5, 7, 11, 101, 1009)
+        for k in (1, 2, 3, 4)
+        if (k - 1) * q * q <= _REFERENCE_OPS
+    ],
+)
+def test_congruence_count_equals_dense_reference(k, q):
+    # rest = x mod q at 0, 1, (q-1)/2, (q+1)/2, q-2 and q-1 runs the direct
+    # and the complement form on each side of their switch, at x < q too
+    rests = {0, 1, (q - 1) // 2, (q + 1) // 2, q - 2, q - 1}
+    for x in sorted({full * q + r for r in rests for full in (0, 1, 2)} - {0}):
+        got, want = congruence_count(k, q, x), _congruence_count_reference(k, q, x)
+        assert got == want and type(got) is type(want) is int, (k, q, x)
+
+
+@pytest.mark.parametrize(
+    "k, q, x",
+    [
+        # past the int64 cut, at rest 1 (the direct form) and 7 (the complement)
+        (3, 11, 2_100_000),
+        (3, 11, 2_100_006),
+        # here a level entry itself passes 2^63, in the direct and the complement form
+        (2, 3, 10**10),
+        (2, 2, 10**10 + 1),
+    ],
+)
+def test_congruence_count_equals_dense_reference_on_object_arrays(k, q, x):
+    assert x**k >= 2**63
+    got, want = congruence_count(k, q, x), _congruence_count_reference(k, q, x)
+    assert got == want and type(got) is type(want) is int
 
 
 @pytest.mark.parametrize("q", [5, 11, 101])
