@@ -11,15 +11,14 @@ Three families of identities are implemented:
   energy reduces the k-th level window by window without keeping it;
   guards on memory and run time refuse a map before it is allocated.
   The map serves k >= 3, and at k = 2 it is the independent route.
-  The unweighted k = 2 energy instead sums the totient identity over the
-  O(sqrt x) blocks of equal floor(x/m), with the summatory totient from
-  the table of ``arith`` up to x^(2/3) and recursed above it, in
-  O(x^(2/3)) steps.  The weighted k = 2 energy sums the coprime-pair
-  identity E_2,sigma(x) = sum_{M<=x} w_s(M) H_s(floor(x/M))^2, s = 2 sigma,
-  over float tables to x, mu from ``arith`` and phi_s by O(sqrt x) strided
-  updates, about (6/pi^2) x ln x element operations; guards on memory and
-  run time admit x up to 1.96e7, past 10^7, and the sigma = 1/2 energy it
-  reaches is the arithmetic side of the constant a(2) alpha(2).
+  The k = 2 energy at every sigma instead sums the coprime-pair identity
+  E_2,sigma(x) = sum_{M<=x} w_s(M) H_s(floor(x/M))^2, s = 2 sigma, by the
+  hyperbola method over the summatory weight W_s: sieved to x^(2/3) (the
+  totient table of ``arith`` at sigma = 0, exact ints; at sigma > 0 mu,
+  then phi_s by O(sqrt y) strided updates, floats) and recursed above it from
+  sum_{d<=n} d^-2s W_s(floor(n/d)) = H_s(n)^2, in O(x^(2/3)) steps, x up
+  to 1.64e11 under one guard on run time.  The sigma = 1/2 energy is the
+  arithmetic side of the constant a(2) alpha(2).
 
 * Rademacher: E(sum_{n<=x} Y_n)^(2k) is evaluated two independent ways,
   by full enumeration of sign assignments to the primes (a fast Walsh
@@ -44,14 +43,14 @@ Three families of identities are implemented:
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import _mobius_table, _squarefree_masks, _totient_table, factorize_small, primes_up_to
+from .arith import _euler_maclaurin_tail, _mobius_table, _squarefree_masks, _totient_table
+from .arith import factorize_small, primes_up_to
 from .errors import _MEMORY_GUARD, ResourceLimitError, refuse_past
 
 __all__ = [
@@ -66,15 +65,20 @@ __all__ = [
     "congruence_count",
 ]
 
-# The unweighted k = 2 energy sieves the totient up to y = x^(2/3) / 4 and
-# takes the summatory totient at the ~x^(1/3) values floor(x/j) above y in
-# numpy, about 4 x / sqrt(y) element operations; both parts cost ~x^(2/3).
-# Measured at 0.16-0.20 us per unit of x^(2/3) (0.9 s at x = 10^10, 3.6 s
-# at 10^11; Python 3.11, numpy 2.4, 2-vCPU KVM guest), so the guard on run
-# time is about 5 s.  The largest admitted x, 1.64e11, has y = 7.5e6 and a
-# peak RSS of 154 MB (traced: 16 bytes per y), under _MEMORY_GUARD, and every
-# int64 partial sum of the recursion stays under 2 x (y + 1) = 2.5e18 < 2^63.
-_TOTIENT_STEP_GUARD = 3 * 10**7
+# The k = 2 energy sieves its weights up to y = x^(2/3) / 4 and recurses for
+# the ~x^(1/3) values floor(x/j) above y in numpy, about 4 x / sqrt(y)
+# element operations; both parts cost ~x^(2/3).  y is at least
+# min(x, 2^10), so the Euler-Maclaurin tails past it are exact to 1e-20.
+# At sigma = 0 (ints) it was measured at 0.12-0.22 us per unit of x^(2/3)
+# (0.56-0.73 s at x = 10^10, 2.5-3.8 s at 10^11; Python 3.11, numpy 2.4,
+# 2-vCPU KVM guest), so the guard on run time is about 5 s.  The largest
+# admitted x, 1.64e11, has y = 7.5e6 and a peak RSS of 145-155 MB, under
+# _MEMORY_GUARD, and every int64 partial sum of the recursion stays under
+# 4 x (y + 1) = 4.9e18 < 2^63.  At sigma > 0 (floats) the same steps took
+# 0.16-0.26 us each (1.1 s at 10^10, 3.4-4.1 s at 10^11, 4.8-5.7 s at
+# 1.64e11; same host), so one guard serves both; the float tables' fill
+# peaks at 35 bytes per y (290 MB RSS at 1.64e11).
+_K2_STEP_GUARD = 3 * 10**7
 # The multiplicity maps stream products through one int64 window of 2^20
 # cells.  A window with its nonzeros and, for sigma > 0, its float terms
 # and their fsum list take under 64 MiB (traced peak 59 MiB for the k = 2,
@@ -105,15 +109,13 @@ _SIGN_PRIME_GUARD = 24
 # like bits^1.58 under CPython's Karatsuba multiplication
 _KRONECKER_BIT_GUARD = 2**23
 # The congruence count gathers q cells for each u on the shorter side of
-# its residue step, q min(rest, q - 1 - rest) <= q^2 / 2 a level, at about
-# 6 ns a cell in int64 (x^k < 2^63) and 34 ns on the object arrays past
-# that (same host).  The worst case, rest ~ q/2, takes 0.29 s at
-# (2, 9973, 4986), 0.30 s at (3, 7069, 3534) and 1.7 s on object arrays at
-# (2, 9973, 10^10 + 1897); x ~ q takes 2 ms at (2, 9973, 9973).  The guard
-# counts (k-1) q^2 array operations, at least twice the cells gathered, so
-# it over-refuses: (3, 9973, x) is refused, yet it takes 0.6 s at worst
-# (rest ~ q/2) and 0.13 s at x = 1000 with the guard lifted.
-_CONGRUENCE_OP_GUARD = 10**8
+# its residue step, q min(rest, q - 1 - rest) a level, plus q for the level
+# itself, and the guard counts exactly those cells.  Measured at 6-7 ns a
+# cell in int64 (x^k < 2^63) and 33-34 ns on the object arrays past that:
+# 0.73 s at (3, 9973, 4986), 1.05 s at (4, 9973, 4986) with the guard
+# lifted, and 1.7 s on object arrays at (2, 9973, 10^10 + 1897) (same
+# host), so the guard is about 0.7 s in int64 and 3.4 s on object arrays.
+_CONGRUENCE_CELL_GUARD = 10**8
 # The tuple count builds x masks of pi(x) // 64 + 1 words and XORs each of
 # the at most min(2^pi(x), x^j) signatures of every level j < k with the
 # <= x base masks.  The levels nest (n = 1 has mask 0), so that is at most
@@ -121,16 +123,6 @@ _CONGRUENCE_OP_GUARD = 10**8
 # for k = 2 (1.1 s at x = 1600, 5.3 s at 2400, 7.9 s at 2900, 13 s at 3200;
 # same host), so the guard is about 10 s, k = 2 up to x = 2927.
 _TUPLE_WORD_GUARD = 6 * 10**7
-# The weighted k = 2 energy's coprime-pair identity holds three float64
-# tables over 0..x (H_s, mu(d) d^-s, phi_s) and mu in int8, with at most
-# half a table as a temporary, 29 bytes per x, and the final fsum's 2^20-term
-# chunk as one window (traced peak 28 bytes per x at x = 10^7; the Moebius
-# table's build, 6 bytes per x, ends before the float tables): the memory
-# guard admits x <= 3.47e7.  Its (6/pi^2) x ln x strided updates take
-# 18-23 ns each (1.8 s at x = 10^7; same host), so the guard on run time,
-# about 4.5 s, binds first and admits x <= 1.96e7.
-_COPRIME_PAIR_BYTES_PER_X = 29
-_COPRIME_PAIR_UPDATE_GUARD = 2 * 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -244,52 +236,116 @@ class EnergyResult:
     tuple_space_size: int
 
 
-def _totient_cutoff(x: int) -> int:
+def _k2_cutoff(x: int) -> int:
     """The sieve bound y of the k = 2 energy at x, after its guard on run time."""
     steps = round(x ** (2 / 3))
-    refuse_past(f"k = 2 totient path at x = {x}", steps, _TOTIENT_STEP_GUARD, "run time", " steps")
-    return max(math.isqrt(x), steps // 4)
+    refuse_past(f"k = 2 energy at x = {x}", steps, _K2_STEP_GUARD, "run time", " steps")
+    return max(math.isqrt(x), steps // 4, min(x, 1 << 10))
 
 
-def _energy_k2_sigma0(x: int) -> int:
-    """E_2(x) = 2 sum_{i<=x} (2i - 1) Phi(floor(x/i)) - x^2, Phi the summatory totient.
+def _pair_weight_table(y: int, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w_s, H_s, n^-s) over 0..y at s > 0, as float64.
 
-    The solutions of ab = cd with a, b, c, d <= x, parametrized by
-    g = gcd(a, c), number sum_{m<=x} (2 phi(m) - [m=1]) floor(x/m)^2, and
-    floor(x/m)^2 is the sum of 2i - 1 over i <= x/m.  The sum over i runs
-    by the O(sqrt x) blocks of equal floor(x/i), so Phi is needed only at
-    the values floor(x/j).  Those up to y ~ x^(2/3) come from the sieved
-    table.  The larger ones, at j <= J = floor(x/(y+1)), come in
-    increasing order from sum_{d<=n} Phi(floor(n/d)) = n(n+1)/2
-    (Deleglise and Rivat, Experiment. Math. 1996): with n = floor(x/j),
-    floor(n/d) = floor(x/(jd)) is big[jd] when jd <= J and a table entry
-    otherwise.
+    w_s(1) = 1 and, past 1, w_s(M) = 2 M^-s phi_s(M) with phi_s(M) =
+    sum_{n<=M, (n,M)=1} n^-s = sum_{d|M} mu(d) d^-s H_s(M/d), filled divisor
+    by divisor: each squarefree d <= top = floor(y/(isqrt(y)+1)) adds
+    mu(d) d^-s H_s(i) at M = d i in one strided slice, and each multiplier
+    i <= y/(top+1) <= isqrt(y) adds the d > top in another, so the loop
+    takes O(sqrt y) Python steps.
     """
-    y = _totient_cutoff(x)
-    small = np.cumsum(_totient_table(y))
-    J = x // (y + 1)
-    big = [0] * (J + 1)  # big[j] = Phi(floor(x/j)), Python ints past int64
+    power = np.arange(y + 1, dtype=np.float64)
+    np.power(power, -s, out=power, where=power > 0)
+    h = np.cumsum(power)  # h[n] = H_s(n); power[0] = 0
+    coef = power * _mobius_table(y)  # coef[d] = mu(d) d^-s
+    w = h.copy()  # the d = 1 term
+    top = max(1, y // (math.isqrt(y) + 1))
+    for d in (np.flatnonzero(coef[2 : top + 1]) + 2).tolist():
+        w[d::d] += coef[d] * h[1 : y // d + 1]
+    w[top + 1 :] += coef[top + 1 :]  # i = 1, where H_s(1) = 1
+    for i in range(2, y // (top + 1) + 1):
+        w[(top + 1) * i : y + 1 : i] += coef[top + 1 : y // i + 1] * h[i]
+    w *= power
+    w *= 2.0
+    w[1] = 1.0
+    return w, h, power
+
+
+def _power_sums(table: np.ndarray, t: float, m: np.ndarray) -> np.ndarray:
+    """H_t(m) = sum_{n<=m} n^-t elementwise over m, from the table H_t(0..y) and past it.
+
+    Past y it adds to H_t(y) the sum over (y, m]: the integral of u^-t over
+    [y + 1, m + 1], in expm1/log1p form, and the difference of the
+    Euler-Maclaurin tails at y + 1 and m + 1.
+    """
+    y = len(table) - 1
+    out = table[np.minimum(m, y)]
+    past = m > y
+    a, b = float(y + 1), m[past] + 1.0
+    log_ratio = np.log1p((b - a) / a)
+    integral = a ** (1 - t) * np.expm1((1 - t) * log_ratio) / (1 - t) if t != 1.0 else log_ratio
+    out[past] += integral + _euler_maclaurin_tail(t, a) - _euler_maclaurin_tail(t, b)
+    return out
+
+
+def _energy_k2(x: int, sigma: float) -> int | float:
+    """E_2,sigma(x) = sum_{M<=x} w_s(M) H_s(floor(x/M))^2, s = 2 sigma, in O(x^(2/3)) steps.
+
+    The solutions of ab = cd are a = gm, c = gn, b = hn, d = hm with
+    gcd(m, n) = 1, and each weighs (ghmn)^-s.  So g and h run to x/M,
+    M = max(m, n), and give H_s(x/M) = sum_{g<=x/M} g^-s each, while the
+    coprime pairs of maximum M weigh w_s(M) (``_pair_weight_table``); at
+    s = 0, H_0(n) = n and w_0(M) = 2 phi(M) - [M = 1], exact ints.
+
+    Grouping the pairs (n, M) <= N by their gcd d gives
+    sum_{d<=N} d^-2s W_s(floor(N/d)) = H_s(N)^2 with W_s the summatory w_s
+    (at s = 0 the recursion of Deleglise and Rivat, Experiment. Math. 1996).
+    W_s up to y ~ x^(2/3) comes from the table; the W_s(floor(x/j)) above
+    it, at j <= J = floor(x/(y+1)), come in increasing order from that
+    identity: with N = floor(x/j), floor(N/d) = floor(x/(jd)) is big[jd]
+    when jd <= J and a table entry otherwise.  Past the table, H_s and the
+    sums of d^-2s come from ``_power_sums``.  With u = isqrt(x), the
+    hyperbola method then gives
+    E = sum_{M<=u} w_s(M) H_s(x/M)^2 + sum_{i<=u} (H_s(i)^2 - H_s(i-1)^2)
+    W_s(x/i) - W_s(u) H_s(u)^2, a sum of positive terms but the last.
+    """
+    s = 2.0 * sigma
+    y = _k2_cutoff(x)
+    J, u = x // (y + 1), math.isqrt(x)
+    m = np.arange(1, u + 1, dtype=np.int64)
+    # hx = H_s(x/M) and h2 = H_s(i)^2 - H_s(i-1)^2 for M, i <= u, hu = H_s(u)
+    if s == 0.0:
+        w = 2 * _totient_table(y)
+        w[1] = 1
+        hx, h2, hu = (x // m).astype(object), 2 * m - 1, u
+        big = np.zeros(J + 1, dtype=object)  # big[j] = W_0(floor(x/j)), Python ints
+    else:
+        w, h, power = _pair_weight_table(y, s)
+        hx, h2, hu = _power_sums(h, s, x // m), power[1 : u + 1] * (h[1 : u + 1] + h[:u]), h[u]
+        hc = np.square(power)
+        np.cumsum(hc, out=hc)  # hc[n] = H_2s(n)
+        big = np.zeros(J + 1)
+    first = (w[1 : u + 1] * hx * hx).sum()
+    W = np.cumsum(w, out=w)
     for j in range(J, 0, -1):
-        n = x // j
+        n, top = x // j, J // j  # d <= top: floor(n/d) > y, already in big
         r = math.isqrt(n)
-        top = J // j  # d <= top: floor(n/d) > y, already in big
-        s = n * (n + 1) // 2 - sum(big[j * d] for d in range(2, top + 1))
         # top < d <= r: one table entry each
-        s -= int(small[n // np.arange(top + 1, r + 1, dtype=np.int64)].sum())
-        # d > r: floor(n/d) = v <= n/(r+1), for the n//v - n//(v+1) values
-        # of d in (n/(v+1), n/v], all past r since n//(n//(r+1) + 1) = r
-        v = np.arange(1, n // (r + 1) + 1, dtype=np.int64)
-        s -= int(np.dot(small[v], n // v - n // (v + 1)))
-        big[j] = s
-    total = 0
-    i = 1
-    while i <= x:
-        q = x // i
-        e = x // q
-        # a block above y is a single i <= J
-        total += (e * e - (i - 1) ** 2) * (int(small[q]) if q <= y else big[e])
-        i = e + 1
-    return 2 * total - x * x
+        d = np.arange(top + 1, r + 1, dtype=np.int64)
+        # d > r: floor(n/d) = v <= n/(r+1), for the d in (n/(v+1), n/v],
+        # all past r since n//(n//(r+1) + 1) = r
+        v = np.arange(1, n // (r + 1) + 2, dtype=np.int64)
+        if s == 0.0:
+            # plain sums and counts; every int64 partial sum stays under 4 x (y + 1)
+            known, hv = big[2 * j : top * j + 1 : j].sum() + int(W[n // d].sum()), n // v
+        else:
+            # weighted by d^-2s = power[d]^2, and by H_2s(n/v) - H_2s(n/(v+1)) for d > r
+            known = (big[2 * j : top * j + 1 : j] * power[2 : top + 1] ** 2).sum()
+            known += (W[n // d] * power[d] ** 2).sum()
+            hv = _power_sums(hc, 2.0 * s, n // v)
+        big[j] = hx[j - 1] ** 2 - known - (W[v[:-1]] * (hv[:-1] - hv[1:])).sum().item()
+    tail = W[x // np.arange(J + 1, u + 1, dtype=np.int64)]  # W_s(x/i), J < i <= u
+    total = first + (h2 * np.concatenate((big[1:], tail))).sum() - W[u].item() * hu**2
+    return total if s == 0.0 else float(total)
 
 
 def _sum_of_squares_exact(counts: np.ndarray) -> int:
@@ -303,58 +359,6 @@ def _sum_of_squares_exact(counts: np.ndarray) -> int:
         else:
             total += int(np.dot(c, c))
     return total
-
-
-def _check_coprime_pair_guards(x: int) -> None:
-    subject = f"k = 2 coprime-pair identity at x = {x}"
-    need = _COPRIME_PAIR_BYTES_PER_X * x + _WINDOW_BYTES
-    refuse_past(subject, need, _MEMORY_GUARD, "memory")
-    updates = round(6 / math.pi**2 * x * math.log(x))
-    refuse_past(subject, updates, _COPRIME_PAIR_UPDATE_GUARD, "run time", " strided updates")
-
-
-def _energy_k2_coprime_pairs(x: int, sigma: float) -> float:
-    """E_2,sigma(x) = sum_{M<=x} w_s(M) H_s(floor(x/M))^2, s = 2 sigma.
-
-    The solutions of ab = cd are a = gm, c = gn, b = hn, d = hm with
-    gcd(m, n) = 1, and each weighs (ghmn)^-s.  So g and h run to x/M,
-    M = max(m, n), and give H_s(y) = sum_{g<=y} g^-s each, while the
-    coprime pairs of maximum M give w_s(1) = 1 and, past 1,
-    w_s(M) = 2 M^-s phi_s(M) with phi_s(M) = sum_{n<=M, (n,M)=1} n^-s
-    = sum_{d|M} mu(d) d^-s H_s(M/d).  At s = 0 this is the totient sum.
-
-    phi_s is filled divisor by divisor: each squarefree d <= top =
-    floor(x/(isqrt(x)+1)) adds mu(d) d^-s H_s(i) at M = d i in one strided
-    slice, and each multiplier i <= x/(top+1) <= isqrt(x) adds the d > top
-    in another, so the loop takes O(sqrt x) Python steps.  The terms are
-    summed by one fsum over 2^20-term chunks.
-    """
-    _check_coprime_pair_guards(x)
-    s = 2.0 * sigma
-    mu = _mobius_table(x)
-    coef = np.arange(x + 1, dtype=np.float64)
-    np.power(coef, -s, out=coef, where=coef > 0)
-    h = np.cumsum(coef)  # h[y] = H_s(y); coef[0] = 0
-    coef *= mu  # coef[d] = mu(d) d^-s
-    del mu
-    phi = h.copy()  # the d = 1 term
-    top = max(1, x // (math.isqrt(x) + 1))
-    for d in (np.flatnonzero(coef[2 : top + 1]) + 2).tolist():
-        phi[d::d] += coef[d] * h[1 : x // d + 1]
-    phi[top + 1 :] += coef[top + 1 :]  # i = 1, where H_s(1) = 1
-    for i in range(2, x // (top + 1) + 1):
-        phi[(top + 1) * i : x + 1 : i] += coef[top + 1 : x // i + 1] * h[i]
-    del coef
-
-    def chunks():
-        for lo in range(1, x + 1, _WINDOW):
-            m = np.arange(lo, min(lo + _WINDOW, x + 1))
-            t = 2.0 * m.astype(np.float64) ** -s * phi[lo : lo + len(m)] * h[x // m] ** 2
-            if lo == 1:
-                t[0] = h[x] ** 2  # w_s(1) = 1
-            yield t.tolist()
-
-    return math.fsum(itertools.chain.from_iterable(chunks()))
 
 
 def _energy_map(k: int, x: int, sigma: float) -> int | float:
@@ -382,11 +386,10 @@ def _energy_map(k: int, x: int, sigma: float) -> int | float:
 def steinhaus_energy(k: int, x: float, sigma: float = 0.0) -> EnergyResult:
     """sum_n n^(-2 sigma) r_k(n;x)^2, the 2k-th moment of the Steinhaus sum.
 
-    k = 1 is the diagonal; k = 2 takes the summatory-totient block sum at
-    sigma = 0 (an exact int) and the coprime-pair identity past it (a
-    float, x up to 1.96e7 under its guards); k >= 3 streams the
-    product-multiplicity map, which stays callable at k = 2 as the
-    independent route.
+    k = 1 is the diagonal; k = 2 sums the coprime-pair identity in
+    O(x^(2/3)) steps, an exact int at sigma = 0 and a float past it, x up to
+    1.64e11 under its guard; k >= 3 streams the product-multiplicity map,
+    which stays callable at k = 2 as the independent route.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -405,8 +408,7 @@ def steinhaus_energy(k: int, x: float, sigma: float = 0.0) -> EnergyResult:
         val = math.fsum(n ** (-2.0 * sigma) for n in range(1, xf + 1))
         return EnergyResult(k, xf, sigma, val, space)
     if k == 2:
-        value = _energy_k2_sigma0(xf) if sigma == 0.0 else _energy_k2_coprime_pairs(xf, sigma)
-        return EnergyResult(k, xf, sigma, value, space)
+        return EnergyResult(k, xf, sigma, _energy_k2(xf, sigma), space)
     return EnergyResult(k, xf, sigma, _energy_map(k, xf, sigma), space)
 
 
@@ -589,15 +591,15 @@ def congruence_count(k: int, q: int, x: int) -> int:
     refuse_past(f"congruence count at q = {q}", q, 10_000, "run time", " residues")
     if x < 1:
         raise ValueError("x must be at least 1")
-    ops = (k - 1) * q * q
-    subject = f"congruence count at k = {k}, q = {q}"
-    refuse_past(subject, ops, _CONGRUENCE_OP_GUARD, "run time", " array operations")
+    full, rest = divmod(x, q)
+    cells = (k - 1) * q * (min(rest, q - 1 - rest) + 1)
+    subject = f"congruence count at k = {k}, q = {q}, x = {x}"
+    refuse_past(subject, cells, _CONGRUENCE_CELL_GUARD, "run time", " gathered cells")
     # a j-level entry counts j-tuples, so every entry and partial sum is at
     # most x^k: at the step from level j the gathered sums and (full + 1) L
     # lie in [0, x^(j+1)], as L <= x^j and full + 1 <= x; object arrays only
     # where x^k passes int64
     dtype = np.int64 if x**k < 2**63 else object
-    full, rest = divmod(x, q)
     counts = np.array([0] + [full + (r <= rest) for r in range(1, q)], dtype=dtype)
     # counts[u] = full + [u <= rest] on u != 0, so the next level is
     # nxt[s] = full L + sum_{u <= rest} level[s / u] with L = sum(level), or

@@ -63,14 +63,13 @@ GUARDS = {
     "euler-cutoff": lambda mp: b_constant(3, eps=1e-40),
     "map-memory": lambda mp: product_multiplicity_map(3, 10**4),
     "map-run-time": lambda mp: steinhaus_energy(3, 2000, 0.1),
-    "coprime-pair-memory": lambda mp: steinhaus_energy(2, 10**8, 0.25),
-    "coprime-pair-run-time": lambda mp: steinhaus_energy(2, 2 * 10**7, 0.25),
+    "coprime-pair-run-time": lambda mp: steinhaus_energy(2, 10**12, 0.25),
     "totient-run-time": lambda mp: steinhaus_energy(2, 10**12),
     "fsum-run-time": lambda mp: steinhaus_energy(1, 10**9, 0.25),
     "walsh-memory": lambda mp: rademacher_moment_sign_enum(2, 10**8),
     "tuple-run-time": lambda mp: rademacher_moment_tuple_count(2, 10**4),
     "congruence-modulus": lambda mp: congruence_count(1, 10007, 5),
-    "congruence-run-time": lambda mp: congruence_count(3, 9973, 5),
+    "congruence-run-time": lambda mp: congruence_count(4, 9973, 4986),
     "kronecker-run-time": lambda mp: char_moment_average(50, 1009, 1009),
     "character-modulus": lambda mp: char_moment_average(1, 1000003, 5),
     "dp-axes": lambda mp: unitary_truncated_moment_exact(2000, 0, 1.5),

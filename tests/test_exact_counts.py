@@ -1,6 +1,8 @@
+import itertools
 import math
 import tracemalloc
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
@@ -12,13 +14,10 @@ from hypothesis import strategies as st
 from rmfmoments.arith import primes_up_to
 from rmfmoments.errors import ResourceLimitError
 from rmfmoments.exact_counts import (
-    _TOTIENT_STEP_GUARD,
-    _check_coprime_pair_guards,
-    _energy_k2_coprime_pairs,
-    _energy_k2_sigma0,
+    _K2_STEP_GUARD,
     _energy_map,
+    _k2_cutoff,
     _mobius_table,
-    _totient_cutoff,
     _totient_table,
     _walsh_hadamard,
     char_moment_average,
@@ -142,9 +141,47 @@ def test_energy_weighted_bit_identical():
     assert _energy_map(2, 2000, 0.25) == 90433.95591424954
 
 
+def _energy_k2_coprime_pairs(x, sigma):
+    """E_2,sigma(x) = sum_{M<=x} w_s(M) H_s(floor(x/M))^2, s = 2 sigma, over float tables to x.
+
+    The O(x) reference route: H_s, mu(d) d^-s and phi_s(M) =
+    sum_{d|M} mu(d) d^-s H_s(M/d) as float tables over 0..x, phi_s filled
+    by O(sqrt x) strided updates, and every term w_s(M) H_s(floor(x/M))^2
+    summed by one fsum over 2^20-term chunks.
+    """
+    s = 2.0 * sigma
+    mu = _mobius_table(x)
+    coef = np.arange(x + 1, dtype=np.float64)
+    np.power(coef, -s, out=coef, where=coef > 0)
+    h = np.cumsum(coef)  # h[y] = H_s(y); coef[0] = 0
+    coef *= mu  # coef[d] = mu(d) d^-s
+    phi = h.copy()  # the d = 1 term
+    top = max(1, x // (math.isqrt(x) + 1))
+    for d in (np.flatnonzero(coef[2 : top + 1]) + 2).tolist():
+        phi[d::d] += coef[d] * h[1 : x // d + 1]
+    phi[top + 1 :] += coef[top + 1 :]  # i = 1, where H_s(1) = 1
+    for i in range(2, x // (top + 1) + 1):
+        phi[(top + 1) * i : x + 1 : i] += coef[top + 1 : x // i + 1] * h[i]
+
+    def chunks():
+        for lo in range(1, x + 1, 1 << 20):
+            m = np.arange(lo, min(lo + (1 << 20), x + 1))
+            t = 2.0 * m.astype(np.float64) ** -s * phi[lo : lo + len(m)] * h[x // m] ** 2
+            if lo == 1:
+                t[0] = h[x] ** 2  # w_s(1) = 1
+            yield t.tolist()
+
+    return math.fsum(itertools.chain.from_iterable(chunks()))
+
+
 def test_energy_k2_weighted_pinned():
-    # the coprime-pair identity's float, 1.2e-15 under the map route's
-    assert steinhaus_energy(2, 2000, 0.25).value == 90433.95591424943
+    # the O(x) reference route's float, 1.2e-15 under the map route's
+    assert _energy_k2_coprime_pairs(2000, 0.25) == 90433.95591424943
+
+
+def test_energy_k2_merged_route_pinned():
+    # the sublinear route's float, 2.2e-16 above the reference's
+    assert steinhaus_energy(2, 2000, 0.25).value == 90433.95591424945
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.25, 0.5])
@@ -156,10 +193,45 @@ def test_coprime_pair_identity_agrees_with_map_route(sigma):
         assert _energy_k2_coprime_pairs(x, sigma) == pytest.approx(_energy_map(2, x, sigma), rel=2e-15)
 
 
+@pytest.mark.parametrize("sigma", [0.1, 0.25, 0.5])
+def test_energy_k2_agrees_with_reference_route(sigma):
+    # the sublinear recursion against the O(x) tables: the largest gaps read
+    # 8.2e-15, 8.6e-16 and 4.1e-15 at sigma = 0.1, 1/4 and 1/2 (all at 10^6,
+    # where a long double copy of the reference puts most of the gap on the
+    # reference's side), and 3.7e-14, 4.9e-14 and 1.9e-14 at x = 10^7
+    for x in [*range(1, 201), 1999, 3000, 43386, 10**5, 10**6]:
+        reference = _energy_k2_coprime_pairs(x, sigma)
+        assert steinhaus_energy(2, x, sigma).value == pytest.approx(reference, rel=1e-13), x
+
+
+def _energy_k2_decimal(x, sigma):
+    """The coprime-pair identity in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        s = Decimal(2 * sigma)
+        power = [Decimal(0)] + [(-s * Decimal(n).ln()).exp() for n in range(1, x + 1)]
+        h = list(itertools.accumulate(power))
+        phi = [Decimal(0)] * (x + 1)
+        for d, mu in enumerate(_mobius_table(x).tolist()):
+            for i in range(1, x // d + 1) if mu else ():
+                phi[d * i] += mu * power[d] * h[i]
+        return h[x] ** 2 + sum(2 * power[m] * phi[m] * h[x // m] ** 2 for m in range(2, x + 1))
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.25, 0.5])
+def test_energy_k2_within_rounding_of_decimal(sigma):
+    # measured worst relative gaps over these x and sigmas: the map route
+    # 1.0e-16, this route 9.2e-16, the O(x) reference 1.2e-15
+    for x in (10, 100, 1000, 1999, 3000):
+        exact = _energy_k2_decimal(x, sigma)
+        got = steinhaus_energy(2, x, sigma).value
+        assert abs(Decimal(got) - exact) <= Decimal("2e-15") * exact, x
+
+
 def test_coprime_pair_identity_at_sigma0_is_the_totient_count():
     # at s = 0 every table holds small integers, so the float is exact
     for x in range(1, 3001):
-        assert _energy_k2_coprime_pairs(x, 0.0) == _energy_k2_sigma0(x)
+        assert _energy_k2_coprime_pairs(x, 0.0) == steinhaus_energy(2, x).value
 
 
 @pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 9, 30, 97, 1000, 12345])
@@ -177,11 +249,9 @@ def test_mobius_table_equals_factorization(x):
     assert _mobius_table(x).tolist() == [0] + [mu(n) for n in range(1, x + 1)]
 
 
-def test_coprime_pair_guards_admit_past_1e7():
-    _check_coprime_pair_guards(10**7)
-    _check_coprime_pair_guards(19593391)
-    with pytest.raises(ResourceLimitError, match="guard on run time"):
-        _check_coprime_pair_guards(19593392)
+def test_weighted_k2_energy_admitted_past_1e10():
+    # every sigma shares the run-time guard of the recursion, x <= 1.64e11
+    assert steinhaus_energy(2, 10**10, 0.25).value == pytest.approx(1934420180239.0347, rel=1e-13)
 
 
 def test_energy_k3_streams_in_bounded_memory():
@@ -228,13 +298,13 @@ def test_totient_table_equals_per_prime_sieve(x):
 
 
 def test_energy_k2_int64_sums_bounded_at_guard():
-    # the recursion's int64 partial sums stay under 2 x (y + 1) for the
-    # largest x the guard on run time admits
-    x = int(_TOTIENT_STEP_GUARD**1.5)
-    y = _totient_cutoff(x)
-    assert 2 * x * (y + 1) < 2**63
+    # the recursion's int64 partial sums over W_0 = 2 Phi - 1 stay under
+    # 4 x (y + 1) for the largest x the guard on run time admits
+    x = int(_K2_STEP_GUARD**1.5)
+    y = _k2_cutoff(x)
+    assert 4 * x * (y + 1) < 2**63
     with pytest.raises(ResourceLimitError, match="guard on run time"):
-        _totient_cutoff(x + x // 1000)
+        _k2_cutoff(x + x // 1000)
 
 
 def test_energy_k2_fast_path_agrees_with_map_path():
@@ -248,6 +318,7 @@ def test_energy_k2_fast_path_agrees_with_map_path():
 
 def test_energy_k2_large_frozen():
     assert steinhaus_energy(2, 10**4).value == 1069018560
+    assert steinhaus_energy(2, 10**9).value == 24685153044267660208
 
 
 def test_energy_floor_semantics():
@@ -468,19 +539,23 @@ def test_congruence_count_past_old_integer_range():
 
 
 def test_congruence_count_run_time_guard():
-    # (k-1) q^2 = 1.99e8 array operations, past the guard, refused before the loop
+    # (k-1) q (min(rest, q-1-rest) + 1) = 1.49e8 gathered cells at rest ~ q/2,
+    # past the guard, refused before the loop
     with pytest.raises(ResourceLimitError, match="guard on run time"):
-        congruence_count(3, 9973, 100)
+        congruence_count(4, 9973, 4986)
+    # rest = 1000 gathers 2.0e7 cells, admitted, equal to the Kronecker average
+    assert congruence_count(3, 9973, 1000) == 100291873071080
 
 
 def test_char_average_reports_a_refused_side_count_as_minus_one():
-    # the side count is refused on its array operations, the average is not
-    with pytest.raises(ResourceLimitError, match="array operations"):
-        congruence_count(3, 9973, 1000)
-    res = char_moment_average(3, 9973, 1000)
+    # the side count is refused on its gathered cells, the average is not
+    with pytest.raises(ResourceLimitError, match="gathered cells"):
+        congruence_count(4, 9973, 4986)
+    res = char_moment_average(4, 9973, 4986)
     assert res.congruence_count == -1
-    # the Kronecker average, matched by the independent float FFT route
-    assert res.avg_all == 100291873071080
+    # the Kronecker average, matched by the independent float FFT route; the
+    # count with its guard lifted gives the same integer
+    assert res.avg_all == 38303276323914835552353640
     assert res.float_error < 1e-9 * res.avg_all
 
 
